@@ -37,6 +37,9 @@ tolerance 20%), or below an absolute floor.  Two ratios are gated:
   ``--min-speedup-native``; the CI numba job uses 3.0 on the scale
   suite).  Skipped with a note when numba is absent — the entry is
   then the fallback twin and the ratio is 1 by construction.
+
+``--min-speedup-native`` without ``--check`` is a usage error (exit 2,
+before any timing): a floor that is never applied would pass silently.
 """
 
 from __future__ import annotations
@@ -313,6 +316,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.suite and args.quick:
         parser.error("--quick and --suite are mutually exclusive")
+    if args.min_speedup_native is not None and args.check is None:
+        parser.error("--min-speedup-native needs --check (without it no floor is applied)")
     suite = args.suite or ("quick" if args.quick else "full")
 
     status = native_status()

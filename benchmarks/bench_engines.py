@@ -36,36 +36,20 @@ measured speedup drops below ``(1 - tolerance)`` times the baseline
 speedup (default tolerance 20%), or — with ``--min-speedup`` — below an
 absolute floor (the acceptance target is >=3x on the 100K-edge full
 suite; quick-suite graphs are too small to amortise array overhead, so
-the floor there is correspondingly lower).  The multiprocess ``bsp-mp``
-engine is gated the same way against its own baseline entry and the
-``--min-speedup-mp`` absolute floor (the CI job uses 1.5x at the
-default 2-worker pool) — its counters must additionally match ``bsp``
-exactly, which is asserted before any timing is recorded.  A baseline
-engine entry may carry its own ``"min_speedup"`` which *overrides* the
-command-line absolute floor for that graph (grid-5k-unit gates bsp-mp
-at 1.0x — the superstep-coalescing worst case — rather than the
-suite-wide 1.5x).  ``--min-mp-vs-batched`` additionally gates the
-direct wall-clock ratio ``bsp-batched / bsp-mp`` (the IPC-gap target:
-the pooled engine must not trail the in-process vectorised engine by
-more than the given factor).  Every bsp-mp gate needs parallel
-hardware to be meaningful — on a single-CPU host the pool's workers
-serialise and the ratios measure scheduler overhead, so the mp gates
-are skipped with a note (exactly as the JIT gate is skipped without
-numba).
+the floor there is correspondingly lower).  Every ``--min-*`` floor
+needs ``--check``: given without it, the floor could never fail, so it
+is a usage error (exit 2) before any timing.
 
 Determinism: every graph is built from fixed generator seeds, seeds are
-drawn from a fixed RNG, engines iterate in registry order (default
-first, rest alphabetical) and the ``bsp-mp`` pool size is an explicit
-knob (``--workers``, default: the engine's fixed ``DEFAULT_WORKERS``) —
-so everything in two bench logs except the wall-clock columns is
-identical line-for-line.
+drawn from a fixed RNG and engines iterate in registry order (default
+first, rest alphabetical) — so everything in two bench logs except the
+wall-clock columns is identical line-for-line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
 import sys
 import time
@@ -86,9 +70,8 @@ from repro.runtime.engines import (
 )
 from repro.runtime.partition import block_partition
 
-#: the engines whose speedups are gated, and their shared reference
+#: the engine whose speedup is gated, and its reference
 GATED_ENGINE = "bsp-batched"
-MP_ENGINE = "bsp-mp"
 REFERENCE_ENGINE = "bsp"
 #: the JIT-tier gate: bsp-native vs bsp-batched (skipped without numba)
 NATIVE_ENGINE = "bsp-native"
@@ -161,7 +144,7 @@ SUITES = {
 SUITE_ENGINES: dict[str, list[str] | None] = {
     "full": None,
     "quick": None,
-    "scale": ["bsp-batched", "bsp-mp", "bsp-native"],
+    "scale": ["bsp-batched", "bsp-native"],
     "xl": ["bsp-batched", "bsp-native"],
 }
 SUITE_REFERENCE = {
@@ -189,7 +172,7 @@ def suite_engine_names(suite: str) -> list[str]:
 
 
 def bench_graph(
-    name: str, builder, k: int, repeats: int, workers: int | None,
+    name: str, builder, k: int, repeats: int,
     engine_names: list[str], reference: str,
 ) -> dict:
     """Time the suite's engines on one graph; returns the record."""
@@ -208,7 +191,6 @@ def bench_graph(
         lambda prog: prog.initial_messages(seeds),
         lambda prog: (prog.src, prog.dist),
         engines=engine_names,
-        workers=workers,
     )
     count_ref = reference if reference.startswith("bsp") else REFERENCE_ENGINE
     ref_stats = verified[count_ref].stats
@@ -236,14 +218,12 @@ def bench_graph(
                 prog,
                 list(prog.initial_messages(seeds)),
                 name="Voronoi Cell",
-                workers=workers,
             )
             if best is None or result.elapsed_s < best["seconds"]:
                 best = {
                     "seconds": round(result.elapsed_s, 6),
                     "messages": result.stats.n_messages,
                     "supersteps": result.n_supersteps,
-                    "workers": result.workers,
                     "status": availability[engine]["status"],
                 }
         engines[engine] = best
@@ -254,14 +234,12 @@ def bench_graph(
     print(f"{name}: |V|={graph.n_vertices} |E|={graph.n_edges} |S|={seeds.size}")
     for engine, record in engines.items():
         ss = record["supersteps"]
-        w = record["workers"]
         note = "" if record["status"] == "available" else f" [{record['status']}]"
         print(
             f"  {engine:14s} {record['seconds'] * 1e3:9.2f} ms"
             f"  {record['speedup']:6.2f}x vs {reference}"
             f"  msgs={record['messages']}"
             + (f" supersteps={ss}" if ss is not None else "")
-            + (f" workers={w}" if w is not None else "")
             + note
         )
     return {
@@ -279,31 +257,20 @@ def check_baseline(
     baseline_path: Path,
     tolerance: float,
     min_speedup: float | None,
-    min_speedup_mp: float | None,
     min_speedup_native: float | None,
-    min_mp_vs_batched: float | None = None,
 ) -> int:
     """Gate: fail when a gated engine's speedup regressed.
 
-    Each gated engine (``bsp-batched``, ``bsp-mp``) is compared against
-    its own baseline entry; a graph/engine pair absent from the baseline
-    is skipped (lets the baseline trail new suites by one PR).  A
-    baseline engine entry carrying ``"min_speedup"`` overrides the
-    command-line absolute floor for that one graph.  The
-    ``min_mp_vs_batched`` gate compares raw wall-clock —
-    ``bsp-batched`` seconds over ``bsp-mp`` seconds — against an
-    absolute floor.  The JIT-tier gate (``bsp-native`` vs
-    ``bsp-batched``) additionally needs numba, and every bsp-mp gate
-    needs >=2 CPUs — without them the ratios measure the fallback twin
-    or scheduler overhead respectively, so those gates are skipped with
-    a note.
+    ``bsp-batched`` is compared against its baseline entry; a
+    graph/engine pair absent from the baseline is skipped (lets the
+    baseline trail new suites by one PR).  The JIT-tier gate
+    (``bsp-native`` vs ``bsp-batched``) additionally needs numba —
+    without it the ratio measures the fallback twin, so that gate is
+    skipped with a note.
     """
     baseline = json.loads(baseline_path.read_text())
     native_active = native_status()["available"]
-    n_cpus = os.cpu_count() or 1
-    mp_hardware = n_cpus >= 2
     failures = []
-    gates = ((GATED_ENGINE, min_speedup), (MP_ENGINE, min_speedup_mp))
     for name, record in results.items():
         base_graph = baseline.get("results", {}).get(name)
         if base_graph is None:
@@ -311,55 +278,23 @@ def check_baseline(
             continue
         engines = record["engines"]
         reference = record.get("reference", REFERENCE_ENGINE)
-        for engine, abs_floor in gates:
-            if engine not in engines or engine == reference:
-                continue  # suite reference or absent: ratio not meaningful
-            if engine == MP_ENGINE and not mp_hardware:
-                print(
-                    f"[check] {name}: {engine} pool serialises on "
-                    f"{n_cpus} CPU, mp gate skipped"
-                )
-                continue
-            base_engine = base_graph["engines"].get(engine)
+        if GATED_ENGINE in engines and GATED_ENGINE != reference:
+            base_engine = base_graph["engines"].get(GATED_ENGINE)
             if base_engine is None:
-                print(f"[check] {name}: no {engine} baseline, skipping")
-                continue
-            base = base_engine["speedup"]
-            measured = engines[engine]["speedup"]
-            floor = base * (1.0 - tolerance)
-            abs_floor = base_engine.get("min_speedup", abs_floor)
-            if abs_floor is not None:
-                floor = max(floor, abs_floor)
-            status = "OK" if measured >= floor else "REGRESSED"
-            print(
-                f"[check] {name}: {engine} speedup {measured:.2f}x "
-                f"(baseline {base:.2f}x, floor {floor:.2f}x) {status}"
-            )
-            if measured < floor:
-                failures.append(f"{name}:{engine}")
-        if (
-            min_mp_vs_batched is not None
-            and MP_ENGINE in engines
-            and GATED_ENGINE in engines
-        ):
-            if not mp_hardware:
-                print(
-                    f"[check] {name}: {MP_ENGINE} pool serialises on "
-                    f"{n_cpus} CPU, mp-vs-batched gate skipped"
-                )
+                print(f"[check] {name}: no {GATED_ENGINE} baseline, skipping")
             else:
-                measured = (
-                    engines[GATED_ENGINE]["seconds"]
-                    / engines[MP_ENGINE]["seconds"]
-                )
-                status = "OK" if measured >= min_mp_vs_batched else "REGRESSED"
+                base = base_engine["speedup"]
+                measured = engines[GATED_ENGINE]["speedup"]
+                floor = base * (1.0 - tolerance)
+                if min_speedup is not None:
+                    floor = max(floor, min_speedup)
+                status = "OK" if measured >= floor else "REGRESSED"
                 print(
-                    f"[check] {name}: {MP_ENGINE} wall-clock "
-                    f"{measured:.2f}x vs {GATED_ENGINE} "
-                    f"(floor {min_mp_vs_batched:.2f}x) {status}"
+                    f"[check] {name}: {GATED_ENGINE} speedup {measured:.2f}x "
+                    f"(baseline {base:.2f}x, floor {floor:.2f}x) {status}"
                 )
-                if measured < min_mp_vs_batched:
-                    failures.append(f"{name}:{MP_ENGINE}-vs-{GATED_ENGINE}")
+                if measured < floor:
+                    failures.append(f"{name}:{GATED_ENGINE}")
         if NATIVE_ENGINE in engines:
             if not native_active:
                 print(
@@ -428,29 +363,17 @@ def main(argv: list[str] | None = None) -> int:
         "target: 3.0 on the full suite)",
     )
     parser.add_argument(
-        "--min-speedup-mp", type=float, default=None,
-        help="absolute speedup floor for the bsp-mp engine vs bsp "
-        "(CI gate: 1.5 at the default 2-worker pool)",
-    )
-    parser.add_argument(
-        "--min-mp-vs-batched", type=float, default=None,
-        help="absolute floor for the bsp-batched/bsp-mp wall-clock "
-        "ratio (the IPC-gap gate: 0.95 on the full suite in CI); "
-        "skipped on single-CPU hosts",
-    )
-    parser.add_argument(
         "--min-speedup-native", type=float, default=None,
         help="absolute floor for bsp-native vs bsp-batched (the CI "
         "numba job gates 2.0 on the scale suite); ignored without numba",
     )
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="bsp-mp process-pool size (default: the engine's fixed "
-        "DEFAULT_WORKERS, for run-to-run reproducibility)",
-    )
     args = parser.parse_args(argv)
     if args.suite and args.quick:
         parser.error("--quick and --suite are mutually exclusive")
+    if args.check is None:
+        for flag in ("--min-speedup", "--min-speedup-native"):
+            if getattr(args, flag[2:].replace("-", "_")) is not None:
+                parser.error(f"{flag} needs --check (without it no floor is applied)")
     suite = args.suite or ("quick" if args.quick else "full")
 
     status = native_status()
@@ -465,9 +388,7 @@ def main(argv: list[str] | None = None) -> int:
     engine_names = suite_engine_names(suite)
     reference = SUITE_REFERENCE[suite]
     results = {
-        name: bench_graph(
-            name, builder, k, args.repeats, args.workers, engine_names, reference
-        )
+        name: bench_graph(name, builder, k, args.repeats, engine_names, reference)
         for name, (builder, k) in SUITES[suite].items()
     }
     payload = {
@@ -478,7 +399,6 @@ def main(argv: list[str] | None = None) -> int:
             "machine": platform.machine(),
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "gated_engine": GATED_ENGINE,
-            "mp_engine": MP_ENGINE,
             "native_engine": NATIVE_ENGINE,
             "reference_engine": reference,
             "native": status,
@@ -494,9 +414,7 @@ def main(argv: list[str] | None = None) -> int:
             args.check,
             args.tolerance,
             args.min_speedup,
-            args.min_speedup_mp,
             args.min_speedup_native,
-            args.min_mp_vs_batched,
         )
     return 0
 

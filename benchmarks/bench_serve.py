@@ -29,7 +29,8 @@ baseline, because ratios are far more stable across machines than
 absolute req/s.  The gate fails (exit 1) when a measured ratio drops
 below ``(1 - tolerance)`` times its baseline value (default tolerance
 20%), or below the absolute floors given with ``--min-batch-ratio`` /
-``--min-cache-speedup``.
+``--min-cache-speedup``.  Either floor without ``--check`` is a usage
+error (exit 2, before any timing): it would never be applied.
 
 Determinism: fixed generator seeds, fixed RNG for seed-set selection,
 and a fixed request mix — two bench logs differ only in the wall-clock
@@ -327,6 +328,10 @@ def main(argv: list[str] | None = None) -> int:
         help="absolute floor for the cache-hit speedup",
     )
     args = parser.parse_args(argv)
+    if args.check is None:
+        for flag in ("--min-batch-ratio", "--min-cache-speedup"):
+            if getattr(args, flag[2:].replace("-", "_")) is not None:
+                parser.error(f"{flag} needs --check (without it no floor is applied)")
 
     suite = "quick" if args.quick else "full"
     results = {

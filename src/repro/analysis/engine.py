@@ -1,12 +1,12 @@
 """The ``repro-steiner check`` rule engine.
 
 A small, dependency-free static-analysis pass purpose-built for this
-repository's invariants: bit-identical parity across backends, engines,
-worker counts and fault-recovery replays only survives new code if that
-code is deterministic, keeps the cache fingerprint honest, and keeps
-``prange`` kernels race-free.  Runtime tests catch a violation only on
-the path they happen to exercise; these rules catch the *bug classes*
-at review time, on every path.
+repository's invariants: bit-identical parity across backends and
+engines only survives new code if that code is deterministic, keeps the
+cache fingerprint honest, and keeps ``prange`` kernels race-free.
+Runtime tests catch a violation only on the path they happen to
+exercise; these rules catch the *bug classes* at review time, on every
+path.
 
 Architecture
 ------------

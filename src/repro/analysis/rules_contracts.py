@@ -2,7 +2,7 @@
 
 The engine and backend registries promise interchangeability; a
 registered entry that is missing part of the structural surface
-(``close()`` so pools never leak, the four diagram arrays, the
+(``run_phase`` and the phase bookkeeping, the four diagram arrays, the
 ``MultiSourceResult`` provenance fields) breaks callers that were
 written against the contract, typically on a path no test pins.
 
@@ -17,10 +17,6 @@ tiny fixed instance and verify the members of the contracts stated in
   :data:`~repro.contracts.DIAGRAM_CONTRACT`.
 * **REP503** — :class:`~repro.shortest_paths.backends.MultiSourceResult`
   lost part of :data:`~repro.contracts.MULTISOURCE_RESULT_CONTRACT`.
-
-Engines are instantiated with ``workers=1`` so ``bsp-mp`` stays
-in-process (no forked pool at check time); every engine is ``close()``d
-before the rule returns.
 """
 
 from __future__ import annotations
@@ -69,11 +65,8 @@ def check_registry_contracts() -> Iterator[Finding]:
     graph, partition = _tiny_instance()
 
     for name in available_engines():
-        engine = make_engine(name, partition, workers=1)
-        try:
-            missing = [a for a in ENGINE_CONTRACT if not hasattr(engine, a)]
-        finally:
-            engine.close()
+        engine = make_engine(name, partition)
+        missing = [a for a in ENGINE_CONTRACT if not hasattr(engine, a)]
         if missing:
             yield Finding(
                 rule="REP501",

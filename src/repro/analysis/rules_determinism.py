@@ -2,11 +2,10 @@
 iteration), REP103 (wall clock in kernel/engine hot paths).
 
 The repo's parity contract — bit-identical trees, converged arrays and
-BSP counters across 5 backends x 5 engines, worker counts and
-fault-recovery replays — survives only while every source of
-nondeterminism is either absent or explicitly seeded.  These three
-rules flag the classes that have actually bitten reproductions like
-this one:
+BSP counters across every backend and engine — survives only while
+every source of nondeterminism is either absent or explicitly seeded.
+These three rules flag the classes that have actually bitten
+reproductions like this one:
 
 * **REP101** — a ``random.*`` / ``np.random.*`` global-state call, or a
   generator constructed without a seed (``default_rng()``,

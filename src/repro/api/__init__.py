@@ -184,28 +184,16 @@ class Session:
             else SolverConfig.from_kwargs(**config_kwargs)
         )
         self.cache = cache
-        self._solvers: dict[tuple[Any, ...], DistributedSteinerSolver] = {}
+        self._solvers: dict[str, DistributedSteinerSolver] = {}
         self._closed = False
 
     # ------------------------------------------------------------------ #
     def solver_for(self, config: SolverConfig) -> DistributedSteinerSolver:
-        """The warm solver for ``config`` (created on first use).
-
-        Keyed by the configuration fingerprint *plus* the
-        fault-tolerance knobs: those are excluded from the fingerprint
-        (they never change results, so cache entries stay shared) but
-        they do change how a solver executes — two configs differing
-        only in, say, ``fault_plan`` must not share a solver instance.
-        """
+        """The warm solver for ``config`` (created on first use), keyed
+        by the configuration fingerprint."""
         if self._closed:
             raise RuntimeError("Session is closed")
-        key = (
-            config.fingerprint(),
-            config.checkpoint_interval,
-            config.max_restarts,
-            config.worker_timeout_s,
-            id(config.fault_plan) if config.fault_plan is not None else None,
-        )
+        key = config.fingerprint()
         solver = self._solvers.get(key)
         if solver is None:
             solver = DistributedSteinerSolver(

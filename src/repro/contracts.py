@@ -5,9 +5,9 @@ registry (:mod:`repro.shortest_paths.backends`) both promise that every
 registered entry is interchangeable: any engine drives a program to the
 identical converged state, any backend produces the bit-identical
 Voronoi diagram.  That guarantee only holds if each entry actually
-implements the full structural surface the callers rely on — ``close()``
-so pools never leak, ``run_phase`` returning :class:`PhaseStats`,
-diagram results carrying all four arrays.
+implements the full structural surface the callers rely on —
+``run_phase`` returning :class:`PhaseStats`, diagram results carrying
+all four arrays.
 
 This module states those surfaces *once*, as Protocols, so they are
 verified twice:
@@ -50,11 +50,9 @@ if TYPE_CHECKING:  # heavy imports only for annotations
 __all__ = [
     "DIAGRAM_CONTRACT",
     "ENGINE_CONTRACT",
-    "MP_PROGRAM_CONTRACT",
     "MULTISOURCE_RESULT_CONTRACT",
     "DiagramLike",
     "MultiSourceBackend",
-    "MPCloneable",
     "RuntimeEngine",
 ]
 
@@ -91,15 +89,12 @@ class RuntimeEngine(Protocol):
 
     def total_time(self) -> float: ...
 
-    def close(self) -> None: ...
-
 
 #: Runtime mirror of :class:`RuntimeEngine` for the REP501 checker rule.
 ENGINE_CONTRACT: tuple[str, ...] = (
     "run_phase",
     "add_analytic_phase",
     "total_time",
-    "close",
     "phases",
     "clock",
 )
@@ -145,34 +140,4 @@ MULTISOURCE_RESULT_CONTRACT: tuple[str, ...] = (
     "pred",
     "dist",
     "agrees_with",
-)
-
-
-@runtime_checkable
-class MPCloneable(Protocol):
-    """The ``bsp-mp`` program-cloning protocol — all four hooks or none.
-
-    A program that defines any one of these must define all four, or
-    worker replication half-works: clone without merge loses converged
-    state, collect without materialize cannot checkpoint.  Enforced
-    statically by the REP401 rule (:mod:`repro.analysis.rules_mp`).
-    """
-
-    def mp_clone_payload(self) -> dict[str, Any]: ...
-
-    @classmethod
-    def mp_materialize(cls, partition: Any, payload: dict[str, Any]) -> Any: ...
-
-    def mp_collect(self, owned: "np.ndarray") -> dict[str, Any]: ...
-
-    def mp_merge(self, collected: dict[str, Any]) -> None: ...
-
-
-#: Runtime mirror of :class:`MPCloneable` for the REP401 checker rule —
-#: shared with :data:`repro.runtime.engine_mp._MP_HOOKS`.
-MP_PROGRAM_CONTRACT: tuple[str, ...] = (
-    "mp_clone_payload",
-    "mp_materialize",
-    "mp_collect",
-    "mp_merge",
 )

@@ -21,7 +21,6 @@ CONFIG_FIELD_ALIASES = {
     "ranks": "n_ranks",
     "queue": "discipline",
     "backend": "voronoi_backend",
-    "num_workers": "workers",
 }
 
 #: The documented exclusion set of :meth:`SolverConfig.fingerprint` —
@@ -36,26 +35,10 @@ CONFIG_FIELD_ALIASES = {
 FINGERPRINT_EXCLUSIONS: dict[str, str] = {
     "bsp": "derived mirror of `engine` (set in __post_init__); the "
     "engine field itself is fingerprinted",
-    "checkpoint_interval": "checkpoint cadence steers recovery cost "
-    "only; recovery preserves parity (docs/robustness.md)",
-    "max_restarts": "restart budget changes when WorkerCrashError "
-    "escalates, never a successful run's results",
-    "worker_timeout_s": "hang-detection heartbeat; recovery preserves "
-    "parity, so results are identical at any timeout",
-    "fault_plan": "injected faults are recovered bit-identically (the "
-    "recovery-preserves-parity contract), so a plan never changes a "
-    "correct run's output",
-    "shm_transport": "transport selection moves the identical message "
-    "bytes through shared-memory rings or pickled pipes; trees and "
-    "every BSP counter are bit-identical either way (pinned by "
-    "tests/test_engine_conformance.py)",
-    "coalesce_threshold": "superstep coalescing groups physical "
-    "barriers only; logical visit/message/superstep accounting is "
-    "preserved bit-identically (conformance harness), so the "
-    "threshold never changes results",
-    "coalesce_max": "cap on logical supersteps per coalesced group — "
-    "same physical-grouping-only argument as coalesce_threshold; "
-    "results are bit-identical at any cap",
+    "fault_plan": "only the serve tier consumes it, and its faults never "
+    "reach a solve: a torn cache write is quarantined and re-solved, a "
+    "dropped connection loses only the response (docs/robustness.md), "
+    "so a plan never changes a correct run's output",
 }
 
 
@@ -88,19 +71,11 @@ class SolverConfig:
         ``"bsp"`` (per-message bulk-synchronous supersteps, the §IV
         ablation baseline), ``"bsp-batched"`` (vectorised supersteps —
         identical semantics and message counts to ``"bsp"``, NumPy
-        array operations instead of per-message Python), ``"bsp-mp"``
-        (the batched supersteps sharded across a pool of forked worker
-        processes — true cross-rank parallelism, same counts again) or
+        array operations instead of per-message Python) or
         ``"bsp-native"`` (each superstep fused into one numba-JIT
         kernel; transparently runs as ``"bsp-batched"`` when numba is
         not installed — same counts either way).  Every engine
         converges to the identical Steiner tree.
-    workers:
-        Process-pool size for the ``"bsp-mp"`` engine: ``None`` (the
-        engine's reproducible default, currently 2), or an explicit
-        count >= 1 (capped at ``n_ranks``; ``1`` forces the in-process
-        fallback).  Accepted and ignored by the in-process engines, so
-        configurations stay valid across engine switches.
     bsp:
         Deprecated alias: ``bsp=True`` selects ``engine="bsp"``.  After
         construction the field reflects whether the chosen engine is
@@ -137,43 +112,13 @@ class SolverConfig:
         the fast path for workloads that need the tree, not the message
         trace.  ``"delta-numba"`` is the JIT tier; without numba it
         transparently runs as ``"delta-numpy"``.
-    checkpoint_interval:
-        ``bsp-mp`` fault tolerance: supersteps between in-memory
-        owned-vertex checkpoints (``None`` = the engine's default,
-        currently 4).  Smaller = less replay on recovery, more snapshot
-        traffic.  Never changes results.
-    max_restarts:
-        Worker restarts tolerated per phase before ``bsp-mp`` escalates
-        to :class:`~repro.errors.WorkerCrashError` (``None`` = the
-        engine's default, currently 2).
-    worker_timeout_s:
-        Per-superstep heartbeat for ``bsp-mp``: a worker that takes
-        longer than this to answer is declared hung, hard-killed, and
-        recovered.  ``None`` (default) disables hang detection — crash
-        detection via pipe EOF is always on.
     fault_plan:
         Deterministic chaos: a :class:`repro.faults.FaultPlan` whose
-        actions the runtime and serve tiers inject at their scheduled
-        points (``None`` = the ``REPRO_FAULT_PLAN`` env hook, which is
-        itself usually unset).  Testing machinery — recovery keeps
-        results bit-identical, so a fault plan never changes a correct
-        run's output.
-    shm_transport:
-        ``bsp-mp`` message transport: ``None`` (default) auto-selects
-        shared-memory rings when ``multiprocessing.shared_memory`` is
-        available, ``True`` requests them explicitly, ``False`` forces
-        the pickled-pipe fallback (the parity reference).  Results are
-        bit-identical either way.
-    coalesce_threshold:
-        ``bsp-mp`` adaptive superstep coalescing: when a superstep's
-        inbox holds fewer than this many messages, workers run several
-        logical supersteps behind one barrier (``None`` = the engine's
-        default, currently 1024; ``0`` disables coalescing).  Physical
-        grouping only — logical counters are preserved bit-identically.
-    coalesce_max:
-        Cap on logical supersteps per coalesced group (``None`` = the
-        engine's default, currently 16; groups also never straddle a
-        ``checkpoint_interval`` boundary).
+        ``corrupt_cache`` / ``drop_connection`` actions the serve tier
+        injects at their scheduled points (``None`` = the
+        ``REPRO_FAULT_PLAN`` env hook, which is itself usually unset).
+        Testing machinery — the solver never reads it, so a fault plan
+        never changes a correct run's output.
     """
 
     n_ranks: int = 16
@@ -182,20 +127,13 @@ class SolverConfig:
     delegate_threshold: Optional[int] = None
     machine: MachineModel = field(default_factory=MachineModel)
     engine: str = "async-heap"
-    workers: Optional[int] = None
     bsp: bool = False
     collect_diagram: bool = False
     max_events: Optional[int] = None
     collective_chunk_elements: Optional[int] = None
     aggregate_remote_messages: bool = False
     voronoi_backend: Optional[str] = None
-    checkpoint_interval: Optional[int] = None
-    max_restarts: Optional[int] = None
-    worker_timeout_s: Optional[float] = None
     fault_plan: Optional[Any] = None
-    shm_transport: Optional[bool] = None
-    coalesce_threshold: Optional[int] = None
-    coalesce_max: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.n_ranks < 1:
@@ -207,22 +145,6 @@ class SolverConfig:
             and self.collective_chunk_elements < 1
         ):
             raise ValueError("collective_chunk_elements must be >= 1")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError("workers must be >= 1 (or None for the default)")
-        if self.checkpoint_interval is not None and self.checkpoint_interval < 1:
-            raise ValueError(
-                "checkpoint_interval must be >= 1 (or None for the default)"
-            )
-        if self.max_restarts is not None and self.max_restarts < 0:
-            raise ValueError("max_restarts must be >= 0 (or None for the default)")
-        if self.worker_timeout_s is not None and self.worker_timeout_s <= 0:
-            raise ValueError("worker_timeout_s must be > 0 (or None to disable)")
-        if self.coalesce_threshold is not None and self.coalesce_threshold < 0:
-            raise ValueError(
-                "coalesce_threshold must be >= 0 (or None for the default)"
-            )
-        if self.coalesce_max is not None and self.coalesce_max < 1:
-            raise ValueError("coalesce_max must be >= 1 (or None for the default)")
         object.__setattr__(self, "discipline", QueueDiscipline(self.discipline))
         # the legacy bsp flag is an alias for engine="bsp"; afterwards
         # the field mirrors whether the engine is bulk-synchronous
@@ -245,12 +167,11 @@ class SolverConfig:
         deprecated alias spellings in :data:`CONFIG_FIELD_ALIASES`.
 
         The canonical names are the dataclass field names; ``ranks``,
-        ``queue``, ``backend`` and ``num_workers`` (the historical
-        CLI-flag spellings) are mapped onto ``n_ranks``,
-        ``discipline``, ``voronoi_backend`` and ``workers`` with a
-        :class:`DeprecationWarning`.  Passing both an alias and its
-        canonical field raises :class:`TypeError`; so does any unknown
-        keyword.
+        ``queue`` and ``backend`` (the historical CLI-flag spellings)
+        are mapped onto ``n_ranks``, ``discipline`` and
+        ``voronoi_backend`` with a :class:`DeprecationWarning`.  Passing
+        both an alias and its canonical field raises :class:`TypeError`;
+        so does any unknown keyword.
         """
         resolved: dict[str, Any] = {}
         field_names = {f.name for f in fields(cls)}
@@ -308,9 +229,8 @@ class SolverConfig:
         configurations share a fingerprint iff a cached result computed
         under one is valid for the other.  Every dataclass field except
         the documented :data:`FINGERPRINT_EXCLUSIONS` participates — the
-        derived ``bsp`` mirror and the fault-tolerance knobs never
-        change a correct run's results (the recovery-preserves-parity
-        contract, ``docs/robustness.md``), so results cached under one
+        derived ``bsp`` mirror and the serve-tier ``fault_plan`` never
+        change a correct run's results, so results cached under one
         setting are valid under any other.  The machine model is
         flattened into its constants, values are canonicalised (enum ->
         value) and serialised with sorted keys, so the digest is

@@ -15,12 +15,7 @@ Orchestrates the six phases over the simulated runtime:
 The message-driven phases (1 and 6) execute on the runtime engine
 selected by ``SolverConfig.engine`` — any name registered in
 :mod:`repro.runtime.engines` (``async-heap``, ``bsp``, ``bsp-batched``,
-``bsp-mp``, ``bsp-native``); every engine converges to the identical
-tree.  Engines
-holding OS resources (``bsp-mp``'s worker pool, sized by
-``SolverConfig.workers``) are closed in a ``finally`` once both phases
-have run, so worker processes never outlive ``solve`` — even when a
-phase raises.
+``bsp-native``); every engine converges to the identical tree.
 
 The solver reports, per phase, the simulated parallel time and message
 counts — the exact quantities behind the paper's Figs. 3-6 — plus a
@@ -208,169 +203,138 @@ class DistributedSteinerSolver:
             machine,
             cfg.discipline,
             aggregate_remote=cfg.aggregate_remote_messages,
-            workers=cfg.workers,
-            checkpoint_interval=cfg.checkpoint_interval,
-            max_restarts=cfg.max_restarts,
-            worker_timeout_s=cfg.worker_timeout_s,
-            fault_plan=cfg.fault_plan,
-            shm_transport=cfg.shm_transport,
-            coalesce_threshold=cfg.coalesce_threshold,
-            coalesce_max=cfg.coalesce_max,
         )
 
-        try:
-            # ---- Phase 1: Voronoi Cell (Alg. 4) --------------------------- #
-            # Either simulate the asynchronous message-driven kernel (the
-            # paper-faithful default, yields the Figs. 3-6 message trace),
-            # run a sequential backend from the registry, or adopt a
-            # pre-converged diagram (injected by the serve batcher or found
-            # in the diagram cache) — all converge to the same deterministic
-            # (dist, owner) fixpoint, so phases 2-6 and the output tree are
-            # identical.
-            if diagram is not None:
-                src, dist, pred = diagram.src, diagram.dist, diagram.pred
+        # ---- Phase 1: Voronoi Cell (Alg. 4) --------------------------- #
+        # Either simulate the asynchronous message-driven kernel (the
+        # paper-faithful default, yields the Figs. 3-6 message trace),
+        # run a sequential backend from the registry, or adopt a
+        # pre-converged diagram (injected by the serve batcher or found
+        # in the diagram cache) — all converge to the same deterministic
+        # (dist, owner) fixpoint, so phases 2-6 and the output tree are
+        # identical.
+        if diagram is not None:
+            src, dist, pred = diagram.src, diagram.dist, diagram.pred
+            vc_stats = PhaseStats(
+                name=PHASE_NAMES[0],
+                sim_time=0.0,
+                busy_time=np.zeros(cfg.n_ranks),
+            )
+        elif cfg.voronoi_backend is None:
+            provenance["sweep"] = "simulated"
+            program = VoronoiProgram(self.partition)
+            vc_stats = engine.run_phase(
+                PHASE_NAMES[0],
+                program,
+                list(program.initial_messages(seeds_arr)),
+                # 0 means uncapped, as it always has (falsy-guard legacy)
+                max_events=cfg.max_events or None,
+            )
+            src, dist = program.src, program.dist
+            pred = canonicalize_predecessors(self.graph, src, dist)
+        else:
+            cached_vd = None
+            if self.cache is not None:
+                cached_vd = self.cache.get_diagram(
+                    self._diagram_key(seeds_arr)
+                )
+            if cached_vd is not None:
+                provenance["sweep"] = "diagram-cache"
+                src, dist, pred = cached_vd.src, cached_vd.dist, cached_vd.pred
                 vc_stats = PhaseStats(
                     name=PHASE_NAMES[0],
                     sim_time=0.0,
                     busy_time=np.zeros(cfg.n_ranks),
                 )
-            elif cfg.voronoi_backend is None:
-                provenance["sweep"] = "simulated"
-                program = VoronoiProgram(self.partition)
-                vc_stats = engine.run_phase(
-                    PHASE_NAMES[0],
-                    program,
-                    list(program.initial_messages(seeds_arr)),
-                    # 0 means uncapped, as it always has (falsy-guard legacy)
-                    max_events=cfg.max_events or None,
-                )
-                src, dist = program.src, program.dist
-                pred = canonicalize_predecessors(self.graph, src, dist)
             else:
-                cached_vd = None
+                from repro.shortest_paths.backends import compute_multisource
+
+                provenance["sweep"] = "backend"
+                ms = compute_multisource(
+                    self.graph, seeds_arr, backend=cfg.voronoi_backend
+                )
+                src, dist, pred = ms.src, ms.dist, ms.pred
                 if self.cache is not None:
-                    cached_vd = self.cache.get_diagram(
-                        self._diagram_key(seeds_arr)
+                    self.cache.put_diagram(
+                        self._diagram_key(seeds_arr), ms.diagram
                     )
-                if cached_vd is not None:
-                    provenance["sweep"] = "diagram-cache"
-                    src, dist, pred = cached_vd.src, cached_vd.dist, cached_vd.pred
-                    vc_stats = PhaseStats(
-                        name=PHASE_NAMES[0],
-                        sim_time=0.0,
-                        busy_time=np.zeros(cfg.n_ranks),
-                    )
-                else:
-                    from repro.shortest_paths.backends import compute_multisource
-
-                    provenance["sweep"] = "backend"
-                    ms = compute_multisource(
-                        self.graph, seeds_arr, backend=cfg.voronoi_backend
-                    )
-                    src, dist, pred = ms.src, ms.dist, ms.pred
-                    if self.cache is not None:
-                        self.cache.put_diagram(
-                            self._diagram_key(seeds_arr), ms.diagram
-                        )
-                    vc_stats = PhaseStats(
-                        name=PHASE_NAMES[0],
-                        sim_time=ms.elapsed_s,
-                        busy_time=np.zeros(cfg.n_ranks),
-                    )
-            phases.append(vc_stats)
-
-            # ---- Phase 2: Local Min Dist. Edge (Alg. 5, local) ------------ #
-            dg = build_distance_graph(self.graph, seeds_arr, src, dist)
-            lme_time, lme_msgs, lme_bytes = local_min_edge_costs(
-                self.partition, machine
-            )
-            phases.append(
-                PhaseStats(
-                    name=PHASE_NAMES[1],
-                    sim_time=lme_time,
-                    n_messages_remote=lme_msgs,
-                    bytes_sent=lme_bytes,
+                vc_stats = PhaseStats(
+                    name=PHASE_NAMES[0],
+                    sim_time=ms.elapsed_s,
                     busy_time=np.zeros(cfg.n_ranks),
                 )
+        phases.append(vc_stats)
+
+        # ---- Phase 2: Local Min Dist. Edge (Alg. 5, local) ------------ #
+        dg = build_distance_graph(self.graph, seeds_arr, src, dist)
+        lme_time, lme_msgs, lme_bytes = local_min_edge_costs(
+            self.partition, machine
+        )
+        phases.append(
+            PhaseStats(
+                name=PHASE_NAMES[1],
+                sim_time=lme_time,
+                n_messages_remote=lme_msgs,
+                bytes_sent=lme_bytes,
+                busy_time=np.zeros(cfg.n_ranks),
             )
+        )
 
-            # ---- Phase 3: Global Min Dist. Edge (collective) -------------- #
-            # The paper allreduces the *full* C(|S|, 2) EN buffer (its |S|=10K
-            # memory spike); we charge that cost while reducing only observed
-            # pairs semantically.  With collective_chunk_elements set, the
-            # §V-F chunked variant pays one latency term per chunk but bounds
-            # the peak communication buffer.
-            n_pairs_full = k * (k - 1) // 2
-            gme_time = self._collective_time(n_pairs_full, _EN_REDUCE_BYTES)
-            phases.append(
-                PhaseStats(
-                    name=PHASE_NAMES[2],
-                    sim_time=gme_time,
-                    bytes_sent=n_pairs_full * _EN_REDUCE_BYTES,
-                    busy_time=np.zeros(cfg.n_ranks),
-                )
+        # ---- Phase 3: Global Min Dist. Edge (collective) -------------- #
+        # The paper allreduces the *full* C(|S|, 2) EN buffer (its |S|=10K
+        # memory spike); we charge that cost while reducing only observed
+        # pairs semantically.  With collective_chunk_elements set, the
+        # §V-F chunked variant pays one latency term per chunk but bounds
+        # the peak communication buffer.
+        n_pairs_full = k * (k - 1) // 2
+        gme_time = self._collective_time(n_pairs_full, _EN_REDUCE_BYTES)
+        phases.append(
+            PhaseStats(
+                name=PHASE_NAMES[2],
+                sim_time=gme_time,
+                bytes_sent=n_pairs_full * _EN_REDUCE_BYTES,
+                busy_time=np.zeros(cfg.n_ranks),
             )
+        )
 
-            # ---- Phase 4: MST of G'1 (sequential Prim, replicated) -------- #
-            si, ti = dg.seed_indices()
-            mst_idx = prim_mst(k, si, ti, dg.dprime)
-            self._check_connected(seeds_arr, si, ti, mst_idx, k)
-            # analytic time: Prim + copying results into distributed state
-            mst_time = machine.mst_time(dg.n_edges, k) + (
-                dg.n_edges * 8 / machine.bandwidth
+        # ---- Phase 4: MST of G'1 (sequential Prim, replicated) -------- #
+        si, ti = dg.seed_indices()
+        mst_idx = prim_mst(k, si, ti, dg.dprime)
+        self._check_connected(seeds_arr, si, ti, mst_idx, k)
+        # analytic time: Prim + copying results into distributed state
+        mst_time = machine.mst_time(dg.n_edges, k) + (
+            dg.n_edges * 8 / machine.bandwidth
+        )
+        phases.append(
+            PhaseStats(
+                name=PHASE_NAMES[3],
+                sim_time=mst_time,
+                busy_time=np.zeros(cfg.n_ranks),
             )
-            phases.append(
-                PhaseStats(
-                    name=PHASE_NAMES[3],
-                    sim_time=mst_time,
-                    busy_time=np.zeros(cfg.n_ranks),
-                )
+        )
+
+        # ---- Phase 5: Global Edge Pruning (collective) ---------------- #
+        active = np.zeros(dg.n_edges, dtype=bool)
+        active[mst_idx] = True
+        prune_time = self._collective_time(n_pairs_full, _PRUNE_REDUCE_BYTES)
+        phases.append(
+            PhaseStats(
+                name=PHASE_NAMES[4],
+                sim_time=prune_time,
+                bytes_sent=n_pairs_full * _PRUNE_REDUCE_BYTES,
+                busy_time=np.zeros(cfg.n_ranks),
             )
+        )
 
-            # ---- Phase 5: Global Edge Pruning (collective) ---------------- #
-            active = np.zeros(dg.n_edges, dtype=bool)
-            active[mst_idx] = True
-            prune_time = self._collective_time(n_pairs_full, _PRUNE_REDUCE_BYTES)
-            phases.append(
-                PhaseStats(
-                    name=PHASE_NAMES[4],
-                    sim_time=prune_time,
-                    bytes_sent=n_pairs_full * _PRUNE_REDUCE_BYTES,
-                    busy_time=np.zeros(cfg.n_ranks),
-                )
-            )
-
-            # ---- Phase 6: Steiner Tree Edge (Alg. 6) ---------------------- #
-            tree_prog = TreeEdgeProgram(self.partition, src, pred, dist)
-            endpoints = np.concatenate([dg.u[active], dg.v[active]])
-            te_stats = engine.run_phase(
-                PHASE_NAMES[5],
-                tree_prog,
-                list(tree_prog.initial_messages(endpoints)),
-            )
-            phases.append(te_stats)
-
-        finally:
-            engine.close()
-
-        # fault-recovery provenance: present iff the supervised engine
-        # actually restarted a worker (results are bit-identical anyway)
-        if getattr(engine, "restarts", 0):
-            provenance["fault_recovery"] = {
-                "restarts": engine.restarts,
-                "replayed_supersteps": engine.replayed_supersteps,
-                "recovery_wall_s": engine.recovery_wall_s,
-            }
-
-        # coalescing provenance: present iff ``bsp-mp`` actually grouped
-        # supersteps behind shared barriers (logical counters — and hence
-        # the tree — are identical either way); ``transport`` records the
-        # data plane the pool ran on (shm rings vs pickled pipes)
-        if getattr(engine, "coalesced_supersteps", 0):
-            provenance["coalesced_supersteps"] = engine.coalesced_supersteps
-        transport = getattr(engine, "transport_used", None)
-        if transport is not None:
-            provenance["transport"] = transport
+        # ---- Phase 6: Steiner Tree Edge (Alg. 6) ---------------------- #
+        tree_prog = TreeEdgeProgram(self.partition, src, pred, dist)
+        endpoints = np.concatenate([dg.u[active], dg.v[active]])
+        te_stats = engine.run_phase(
+            PHASE_NAMES[5],
+            tree_prog,
+            list(tree_prog.initial_messages(endpoints)),
+        )
+        phases.append(te_stats)
 
         # ---- assemble the tree ---------------------------------------- #
         cross_w = dg.dprime[active] - dist[dg.u[active]] - dist[dg.v[active]]

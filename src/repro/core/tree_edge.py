@@ -18,7 +18,7 @@ CSR row.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Tuple
+from typing import Any, Callable, Iterator, Tuple
 
 import numpy as np
 
@@ -35,7 +35,7 @@ class TreeEdgeProgram:
     :attr:`edges`.
     """
 
-    __slots__ = ("part", "src", "pred", "dist", "collected", "edges", "edge_vertex")
+    __slots__ = ("part", "src", "pred", "dist", "collected", "edges")
 
     def __init__(
         self,
@@ -50,12 +50,6 @@ class TreeEdgeProgram:
         self.dist = dist
         self.collected = np.zeros(partition.graph.n_vertices, dtype=bool)
         self.edges: list[tuple[int, int, int]] = []
-        #: recording vertex of each edge (parallel to ``edges``): the
-        #: walked vertex whose predecessor hop emitted it.  Lets
-        #: :meth:`mp_collect` restrict an edge list by vertex ownership,
-        #: which is what keeps worker edge sets exact even when replicas
-        #: execute overlapping inboxes (coalesced superstep groups).
-        self.edge_vertex: list[int] = []
 
     def initial_messages(
         self, endpoints: np.ndarray
@@ -83,7 +77,6 @@ class TreeEdgeProgram:
         p = int(self.pred[vertex])
         w = int(self.dist[vertex] - self.dist[p])
         self.edges.append((min(p, vertex), max(p, vertex), w))
-        self.edge_vertex.append(vertex)
         if p != self.src[vertex]:
             emit(p, (p,))
 
@@ -124,7 +117,6 @@ class TreeEdgeProgram:
         self.edges.extend(
             (int(a), int(b), int(c)) for a, b, c in zip(lo, hi, w)
         )
-        self.edge_vertex.extend(int(x) for x in v)
         walk = p != self.src[v]
         if walk.any():
             out = p[walk].astype(np.int64)
@@ -139,53 +131,6 @@ class TreeEdgeProgram:
     ) -> None:
         """Unused: tree-edge walks are vertex-addressed only."""
         raise AssertionError("tree-edge walks never address ranks")
-
-    # ------------------------------------------------------------------ #
-    # mp protocol (bsp-mp engine): replicate, shard, gather
-    # ------------------------------------------------------------------ #
-    def mp_clone_payload(self) -> dict:
-        """Worker replicas need the (phase-1 output) ``src/pred/dist``
-        arrays plus the visited guard; replicas start with an empty
-        ``edges`` list, so the driver's already-collected edges are
-        never duplicated by the merge."""
-        return {
-            "src": self.src,
-            "pred": self.pred,
-            "dist": self.dist,
-            "collected": np.nonzero(self.collected)[0],
-        }
-
-    @classmethod
-    def mp_materialize(
-        cls, partition: PartitionedGraph, payload: dict
-    ) -> "TreeEdgeProgram":
-        prog = cls(partition, payload["src"], payload["pred"], payload["dist"])
-        prog.collected[payload["collected"]] = True
-        return prog
-
-    def mp_collect(self, owned: np.ndarray) -> dict:
-        """Visited marks of ``owned`` vertices plus every edge whose
-        *recording* vertex is in ``owned``.  Filtering by recording
-        vertex (not just "everything this replica saw") makes collects
-        exact under replicated execution: when a coalesced superstep
-        group runs the full inbox on every worker, each edge is
-        recorded by several replicas but collected from exactly one —
-        its recording vertex's owner."""
-        in_owned = np.isin(
-            np.asarray(self.edge_vertex, dtype=np.int64), owned
-        )
-        return {
-            "collected": owned[self.collected[owned]],
-            "edges": [e for e, keep in zip(self.edges, in_owned) if keep],
-            "edge_vertex": [
-                v for v, keep in zip(self.edge_vertex, in_owned) if keep
-            ],
-        }
-
-    def mp_merge(self, collected: dict) -> None:
-        self.collected[collected["collected"]] = True
-        self.edges.extend(collected["edges"])
-        self.edge_vertex.extend(collected["edge_vertex"])
 
 
 def walk_tree_edges(
@@ -212,10 +157,3 @@ def walk_tree_edges(
             stack.append(p)
     return edges
 
-
-if TYPE_CHECKING:
-    from repro.contracts import MPCloneable
-
-    # mypy verifies the all-or-none mp-clone protocol statically; the
-    # REP401 checker rule is the review-time twin of this assignment.
-    _MP_CONFORMANCE: type[MPCloneable] = TreeEdgeProgram

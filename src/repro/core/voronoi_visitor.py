@@ -26,7 +26,7 @@ acceleration (§IV).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Tuple
+from typing import Any, Callable, Iterator, Tuple
 
 import numpy as np
 
@@ -235,53 +235,6 @@ class VoronoiProgram:
         return self.src, self.pred, self.dist
 
     # ------------------------------------------------------------------ #
-    # mp protocol (bsp-mp engine): replicate, shard, gather
-    # ------------------------------------------------------------------ #
-    def mp_clone_payload(self) -> dict:
-        """Mutable state for worker replicas: the already-initialised
-        (seed) entries as compact ``(idx, src, pred, dist)`` columns —
-        the partition itself is inherited through fork, never pickled."""
-        idx = np.nonzero(self.dist != INF)[0]
-        return {
-            "idx": idx,
-            "src": self.src[idx],
-            "pred": self.pred[idx],
-            "dist": self.dist[idx],
-        }
-
-    @classmethod
-    def mp_materialize(
-        cls, partition: PartitionedGraph, payload: dict
-    ) -> "VoronoiProgram":
-        """Worker-side rebuild from the inherited partition plus the
-        compact state snapshot."""
-        prog = cls(partition)
-        idx = payload["idx"]
-        prog.src[idx] = payload["src"]
-        prog.pred[idx] = payload["pred"]
-        prog.dist[idx] = payload["dist"]
-        return prog
-
-    def mp_collect(self, owned: np.ndarray) -> dict:
-        """Converged state of the vertices this worker owns (the only
-        entries a worker can have written: ``batch_visit`` targets are
-        routed by owner rank), reached entries only."""
-        idx = owned[self.dist[owned] != INF]
-        return {
-            "idx": idx,
-            "src": self.src[idx],
-            "pred": self.pred[idx],
-            "dist": self.dist[idx],
-        }
-
-    def mp_merge(self, collected: dict) -> None:
-        """Fold one worker's owned-state snapshot into this program."""
-        idx = collected["idx"]
-        self.src[idx] = collected["src"]
-        self.pred[idx] = collected["pred"]
-        self.dist[idx] = collected["dist"]
-
-    # ------------------------------------------------------------------ #
     def _batch_expand(
         self,
         vs: np.ndarray,
@@ -333,10 +286,3 @@ class VoronoiProgram:
             out,
         )
 
-
-if TYPE_CHECKING:
-    from repro.contracts import MPCloneable
-
-    # mypy verifies the all-or-none mp-clone protocol statically; the
-    # REP401 checker rule is the review-time twin of this assignment.
-    _MP_CONFORMANCE: type[MPCloneable] = VoronoiProgram

@@ -43,28 +43,6 @@ class SimulationError(ReproError):
     """The discrete-event simulation reached an inconsistent state."""
 
 
-class WorkerCrashError(SimulationError):
-    """A ``bsp-mp`` worker process died (or hung past the heartbeat
-    timeout) more times than ``max_restarts`` allows.
-
-    This is the *transient* failure class: the superstep that was lost
-    is deterministically retryable (the serve layer retries exactly this
-    exception with exponential backoff), unlike a program-raised
-    :class:`SimulationError`, which would recur identically on replay.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        restarts: int = 0,
-        exitcode: int | None = None,
-    ) -> None:
-        self.restarts = restarts
-        self.exitcode = exitcode
-        super().__init__(message)
-
-
 class ConvergenceError(ReproError):
     """An iterative routine exceeded its iteration budget."""
 

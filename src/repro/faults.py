@@ -1,30 +1,18 @@
 """Deterministic fault injection for chaos testing.
 
 A :class:`FaultPlan` is a *replayable* failure schedule: a list of
-:class:`FaultAction` records saying exactly which fault to inject where
-— kill ``bsp-mp`` worker ``w`` at superstep ``s``, delay a worker long
-enough to trip the heartbeat, scribble over the next disk-cache entry,
-drop a TCP connection mid-response.  Because the schedule is data (and
-:meth:`FaultPlan.seeded` derives it from a PRNG seed), a chaos test
-that fails replays *identically*: same kill, same superstep, same
-recovery path.
+:class:`FaultAction` records saying which fault to inject — scribble
+over the next disk-cache entry, drop a TCP connection mid-response.
+Because the schedule is data, a chaos test that fails replays
+*identically*.
 
 Consumers pull matching actions with :meth:`FaultPlan.take`; an action
 fires **once** (consumption is tracked per plan instance, thread-safe),
-so a respawned worker is not re-killed at the same superstep and a
-retry loop converges.  :meth:`FaultPlan.reset` re-arms a plan for the
-next run.
+so a plan with one ``drop_connection`` drops exactly one connection.
+:meth:`FaultPlan.reset` re-arms a plan for the next run.
 
 Injection points (each consumer documents its own semantics):
 
-``kill_worker``
-    :class:`~repro.runtime.engine_mp.BSPMultiprocessEngine` hard-kills
-    worker ``worker`` just before superstep ``superstep`` executes
-    (``os._exit`` in the child — indistinguishable from an OOM kill).
-``delay_worker``
-    The same engine delays that worker's superstep by ``delay_s``
-    seconds — with ``SolverConfig(worker_timeout_s=...)`` set below the
-    delay, the driver declares the worker hung and recovers.
 ``corrupt_cache``
     :class:`~repro.serve.cache.SolveCache` truncates/garbles the next
     disk-tier pickle it writes (a torn write); the subsequent load must
@@ -34,8 +22,8 @@ Injection points (each consumer documents its own semantics):
     the next solve response; the service and batching worker must
     survive.
 
-Plans reach the runtime two ways: ``SolverConfig(fault_plan=...)`` for
-in-process callers, or the ``REPRO_FAULT_PLAN`` environment variable
+Plans reach the serve tier two ways: ``SolverConfig(fault_plan=...)``
+for in-process callers, or the ``REPRO_FAULT_PLAN`` environment variable
 (a JSON action list, or ``@/path/to/plan.json``) for subprocesses and
 servers — :func:`env_plan` parses it once and hands every consumer in
 the process the *same* instance, so consumption is global.
@@ -45,10 +33,9 @@ from __future__ import annotations
 
 import json
 import os
-import random
 import threading
-from dataclasses import asdict, dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import Iterable
 
 __all__ = [
     "ENV_VAR",
@@ -61,69 +48,32 @@ __all__ = [
 ENV_VAR = "REPRO_FAULT_PLAN"
 
 #: action kinds the shipped consumers understand
-KNOWN_KINDS = ("kill_worker", "delay_worker", "corrupt_cache", "drop_connection")
+KNOWN_KINDS = ("corrupt_cache", "drop_connection")
 
 
 @dataclass(frozen=True)
 class FaultAction:
-    """One scheduled fault (see the module docstring for kind semantics).
-
-    ``worker``/``superstep``/``phase`` narrow where the action fires;
-    a ``None`` field matches anything, and ``superstep`` is the 1-based
-    index within a phase.  ``delay_s`` only means something for
-    ``delay_worker``.
-    """
+    """One scheduled fault (see the module docstring for kind semantics)."""
 
     kind: str
-    worker: Optional[int] = None
-    superstep: Optional[int] = None
-    phase: Optional[str] = None
-    delay_s: float = 0.0
 
     def __post_init__(self) -> None:
         if self.kind not in KNOWN_KINDS:
             raise ValueError(
                 f"unknown fault kind {self.kind!r}; known: {list(KNOWN_KINDS)}"
             )
-        if self.delay_s < 0:
-            raise ValueError("delay_s must be >= 0")
-
-    def matches(
-        self,
-        kind: str,
-        *,
-        phase: Optional[str] = None,
-        superstep: Optional[int] = None,
-        worker: Optional[int] = None,
-    ) -> bool:
-        """Does this action fire at the given injection point?  A
-        ``None`` field on the *action* is a wildcard; a ``None`` query
-        argument means the caller does not filter on that axis."""
-        if self.kind != kind:
-            return False
-        if self.phase is not None and phase is not None and self.phase != phase:
-            return False
-        if (
-            self.superstep is not None
-            and superstep is not None
-            and self.superstep != superstep
-        ):
-            return False
-        if self.worker is not None and worker is not None and self.worker != worker:
-            return False
-        return True
 
 
 class FaultPlan:
     """An ordered, consumable schedule of :class:`FaultAction` records.
 
-    >>> plan = FaultPlan.kill(worker=1, superstep=3)
-    >>> [a.kind for a in plan.take("kill_worker", superstep=3)]
-    ['kill_worker']
-    >>> plan.take("kill_worker", superstep=3)  # fired once, now spent
+    >>> plan = FaultPlan([FaultAction("drop_connection")])
+    >>> [a.kind for a in plan.take("drop_connection")]
+    ['drop_connection']
+    >>> plan.take("drop_connection")  # fired once, now spent
     []
     >>> plan.reset()
-    >>> len(plan.take("kill_worker", superstep=3))
+    >>> len(plan.take("drop_connection"))
     1
     """
 
@@ -135,52 +85,6 @@ class FaultPlan:
     # ------------------------------------------------------------------ #
     # construction helpers
     # ------------------------------------------------------------------ #
-    @classmethod
-    def kill(
-        cls, worker: int, superstep: int, phase: str | None = None
-    ) -> "FaultPlan":
-        """One-action plan: kill ``worker`` at ``superstep``."""
-        return cls(
-            [FaultAction("kill_worker", worker=worker, superstep=superstep, phase=phase)]
-        )
-
-    @classmethod
-    def seeded(
-        cls,
-        seed: int,
-        *,
-        n_faults: int = 1,
-        kinds: Sequence[str] = ("kill_worker",),
-        max_worker: int = 2,
-        max_superstep: int = 8,
-        max_delay_s: float = 0.2,
-    ) -> "FaultPlan":
-        """A reproducible random schedule: the same ``seed`` always
-        yields the same actions, so a failing chaos run replays exactly.
-
-        >>> FaultPlan.seeded(7).actions == FaultPlan.seeded(7).actions
-        True
-        """
-        rng = random.Random(seed)
-        actions = []
-        for _ in range(n_faults):
-            kind = rng.choice(list(kinds))
-            actions.append(
-                FaultAction(
-                    kind,
-                    worker=rng.randrange(max_worker)
-                    if kind in ("kill_worker", "delay_worker")
-                    else None,
-                    superstep=rng.randint(1, max_superstep)
-                    if kind in ("kill_worker", "delay_worker")
-                    else None,
-                    delay_s=round(rng.uniform(0.0, max_delay_s), 3)
-                    if kind == "delay_worker"
-                    else 0.0,
-                )
-            )
-        return cls(actions)
-
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
         """Parse a JSON action list (the :data:`ENV_VAR` wire format)."""
@@ -196,51 +100,16 @@ class FaultPlan:
     # ------------------------------------------------------------------ #
     # consumption
     # ------------------------------------------------------------------ #
-    def take(
-        self,
-        kind: str,
-        *,
-        phase: Optional[str] = None,
-        superstep: Optional[int] = None,
-        worker: Optional[int] = None,
-    ) -> list[FaultAction]:
-        """Consume and return every not-yet-fired action matching the
-        injection point.  Thread-safe; each action fires at most once."""
+    def take(self, kind: str) -> list[FaultAction]:
+        """Consume and return every not-yet-fired action of ``kind``.
+        Thread-safe; each action fires at most once."""
         out: list[FaultAction] = []
         with self._lock:
             for i, action in enumerate(self.actions):
-                if self._fired[i]:
-                    continue
-                if action.matches(
-                    kind, phase=phase, superstep=superstep, worker=worker
-                ):
+                if not self._fired[i] and action.kind == kind:
                     self._fired[i] = True
                     out.append(action)
         return out
-
-    def peek(
-        self,
-        kind: str,
-        *,
-        phase: Optional[str] = None,
-        superstep: Optional[int] = None,
-        worker: Optional[int] = None,
-    ) -> list[FaultAction]:
-        """Like :meth:`take`, but *without* consuming: every
-        not-yet-fired action matching the injection point, left armed.
-        Consumers that batch several injection points behind one
-        decision (e.g. the ``bsp-mp`` engine planning a coalesced
-        superstep group) peek ahead to find the earliest fault, then
-        :meth:`take` only at the point where it actually fires."""
-        with self._lock:
-            return [
-                a
-                for a, f in zip(self.actions, self._fired)
-                if not f
-                and a.matches(
-                    kind, phase=phase, superstep=superstep, worker=worker
-                )
-            ]
 
     def pending(self) -> int:
         """Number of actions that have not fired yet."""

@@ -10,16 +10,12 @@ Subcommands
     Run the full evaluation sweep (every table and figure), printing
     each report — the command behind EXPERIMENTS.md.
 ``solve --dataset LVJ --seeds 30 [--ranks 16] [--queue priority]
-[--engine async-heap|bsp|bsp-batched|bsp-mp|bsp-native] [--workers N]
-[--backend simulate|dijkstra|delta-numpy|delta-numba|scipy|...]
-[--shm-transport auto|on|off] [--coalesce-threshold N]
-[--coalesce-max K]``
+[--engine async-heap|bsp|bsp-batched|bsp-native]
+[--backend simulate|dijkstra|delta-numpy|delta-numba|scipy|...]``
     One-off solve on a stand-in dataset, printing the tree summary and
     the phase breakdown.  ``--engine`` picks the runtime engine the
-    message-driven phases execute on (``--workers`` sizes the
-    ``bsp-mp`` process pool; ``--shm-transport`` / ``--coalesce-*``
-    tune its data plane, results identical at any setting);
-    ``--backend simulate`` (default) runs the
+    message-driven phases execute on; ``--backend simulate`` (default)
+    runs the
     message-driven Voronoi phase; any registered shortest-path backend
     name computes the identical tree via that sequential kernel.
 ``serve [--tcp HOST:PORT] [--preload LVJ,MCO] [--backend delta-numpy]
@@ -42,20 +38,19 @@ Subcommands
 [--files-only] [--list-rules]``
     Run the repo-invariant static-analysis pass (``docs/analysis.md``):
     determinism lint, fingerprint-coverage audit, ``prange`` race
-    detector, mp-protocol and registry-contract conformance.  Exits 0
+    detector and registry-contract conformance.  Exits 0
     iff every finding is fixed or carries a justified
     ``# repro: ignore[REPxxx]`` suppression — the pre-PR gate CI runs
     as the blocking ``check`` job.
-``engines [--bench] [--dataset LVJ] [--seeds 30] [--ranks 16]
-[--workers N]``
+``engines [--bench] [--dataset LVJ] [--seeds 30] [--ranks 16]``
     List the registered runtime engines with their availability (same
     format as ``backends``); with ``--bench``, solve the
     chosen instance on each engine, verify the trees are identical and
     report per-engine wall/simulated time and message counts.  The
     bench is deterministic apart from the wall-clock column: seeded
-    seed selection, registry order fixed (default engine first, rest
-    alphabetical) and a fixed ``bsp-mp`` pool size, so the counters in
-    two CI logs are comparable line-for-line.
+    seed selection and registry order fixed (default engine first, rest
+    alphabetical), so the counters in two CI logs are comparable
+    line-for-line.
 """
 
 from __future__ import annotations
@@ -99,12 +94,7 @@ def _cmd_run(args) -> int:
                 file=sys.stderr,
             )
         t0 = time.perf_counter()
-        report = run_experiment(
-            exp_id,
-            quick=args.quick,
-            engine=engine,
-            workers=getattr(args, "workers", None),
-        )
+        report = run_experiment(exp_id, quick=args.quick, engine=engine)
         if getattr(args, "json", False):
             print(report.to_json())
         else:
@@ -130,17 +120,12 @@ def _cmd_solve(args) -> int:
     graph = load_dataset(args.dataset)
     seeds = select_seeds(graph, args.seeds, args.strategy, seed=args.seed)
     backend = None if args.backend == "simulate" else args.backend
-    shm = {"auto": None, "on": True, "off": False}[args.shm_transport]
     try:
         config = SolverConfig(
             n_ranks=args.ranks,
             discipline=args.queue,
             engine=args.engine,
-            workers=args.workers,
             voronoi_backend=backend,
-            shm_transport=shm,
-            coalesce_threshold=args.coalesce_threshold,
-            coalesce_max=args.coalesce_max,
         )
     except ValueError as exc:  # e.g. a typo'd --backend/--engine name
         print(f"error: {exc}", file=sys.stderr)
@@ -162,10 +147,7 @@ def _cmd_serve(args) -> int:
     backend = None if args.backend == "simulate" else args.backend
     try:
         config = SolverConfig(
-            n_ranks=args.ranks,
-            engine=args.engine,
-            workers=args.workers,
-            voronoi_backend=backend,
+            n_ranks=args.ranks, engine=args.engine, voronoi_backend=backend
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -294,28 +276,16 @@ def _cmd_engines(args) -> int:
     # one solve per engine: the shared helper both times the runs and
     # checks tree identity, so every reported speedup is verified-correct
     try:
-        runs = solve_on_engines(
-            graph, seeds, n_ranks=args.ranks, workers=args.workers
-        )
+        runs = solve_on_engines(graph, seeds, n_ranks=args.ranks)
     except AssertionError as exc:
         print(f"error: {exc}")
         return 1
     results = {name: res for name, (res, _) in runs.items()}
     walls = {name: wall for name, (_, wall) in runs.items()}
     ref_name = next(iter(results))
-    from repro.runtime.engine_mp import DEFAULT_WORKERS, fork_available
-
-    # report the *effective* pool size (ranks cap, no-fork fallback),
-    # not the requested one — the header is CI-log provenance
-    pool = min(
-        args.workers if args.workers is not None else DEFAULT_WORKERS,
-        args.ranks,
-    )
-    if pool > 1 and not fork_available():
-        pool = 1
     print(
         f"{args.dataset}: |V|={graph.n_vertices} 2|E|={graph.n_arcs} "
-        f"|S|={len(seeds)} ranks={args.ranks} bsp-mp-workers={pool} — "
+        f"|S|={len(seeds)} ranks={args.ranks} — "
         f"all engines produce the identical tree"
     )
     for name, res in results.items():
@@ -367,20 +337,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="runtime engine, forwarded to experiments that accept it "
         "(see `repro-steiner engines`)",
     )
-    p_run.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="bsp-mp process-pool size, forwarded like --engine",
-    )
     p_run.set_defaults(func=_cmd_run)
 
     p_all = sub.add_parser("all", help="run the full evaluation sweep")
     p_all.add_argument("--quick", action="store_true")
     p_all.add_argument("--engine", default="async-heap", help="runtime engine")
-    p_all.add_argument(
-        "--workers", type=int, default=None, help="bsp-mp process-pool size"
-    )
     p_all.set_defaults(func=_cmd_all)
 
     p_solve = sub.add_parser("solve", help="solve one instance")
@@ -403,43 +364,11 @@ def build_parser() -> argparse.ArgumentParser:
         "(see `repro-steiner engines`)",
     )
     p_solve.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="process-pool size for --engine bsp-mp (default: the "
-        "engine's reproducible default; 1 forces in-process execution)",
-    )
-    p_solve.add_argument(
         "--backend",
         default="simulate",
         help="Voronoi phase: 'simulate' (message-driven engine, default) "
         "or a registered shortest-path backend name "
         "(see `repro-steiner backends`)",
-    )
-    p_solve.add_argument(
-        "--shm-transport",
-        choices=["auto", "on", "off"],
-        default="auto",
-        help="bsp-mp data plane: 'auto' uses shared-memory rings when "
-        "the platform supports them, 'on' requires them, 'off' forces "
-        "the pickled-pipe fallback (results identical either way)",
-    )
-    p_solve.add_argument(
-        "--coalesce-threshold",
-        type=int,
-        default=None,
-        metavar="N",
-        help="bsp-mp: group supersteps behind one barrier while the "
-        "inbox stays below N messages (0 disables; default: the "
-        "engine's built-in threshold)",
-    )
-    p_solve.add_argument(
-        "--coalesce-max",
-        type=int,
-        default=None,
-        metavar="K",
-        help="bsp-mp: at most K logical supersteps per coalesced group "
-        "(1 disables; default: the engine's built-in cap)",
     )
     p_solve.set_defaults(func=_cmd_solve)
 
@@ -467,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument("--ranks", type=int, default=16)
     p_serve.add_argument("--engine", default="async-heap")
-    p_serve.add_argument("--workers", type=int, default=None)
     p_serve.add_argument(
         "--batch-window-ms",
         type=float,
@@ -551,12 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eng.add_argument("--seeds", type=int, default=30)
     p_eng.add_argument("--ranks", type=int, default=16)
     p_eng.add_argument("--seed", type=int, default=1, help="RNG seed")
-    p_eng.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="bsp-mp process-pool size used in the bench",
-    )
     p_eng.set_defaults(func=_cmd_engines)
     return parser
 

@@ -119,8 +119,8 @@ def solve_on_engines(
     in registry order (default engine first, rest alphabetical — a
     deterministic iteration order, so two bench logs line up); shared by
     the async-vs-BSP ablation and the ``repro-steiner engines --bench``
-    report.  Extra keyword arguments (``workers=...``, ``discipline=``,
-    ...) reach every run's :class:`~repro.core.config.SolverConfig`.
+    report.  Extra keyword arguments (``discipline=``, ...) reach every
+    run's :class:`~repro.core.config.SolverConfig`.
     """
     import numpy as np
 

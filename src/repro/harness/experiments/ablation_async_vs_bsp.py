@@ -25,10 +25,10 @@ _DATASETS = ["LVJ", "UKW"]
 _PAPER_K = 100
 
 
-def run(quick: bool = False, workers: int | None = None) -> ExperimentReport:
+def run(quick: bool = False) -> ExperimentReport:
     """Run this experiment; ``quick=True`` shrinks the sweep for
-    test-suite use, ``workers`` sizes the ``bsp-mp`` process pool (see
-    the module docstring for the paper claim being reproduced)."""
+    test-suite use (see the module docstring for the paper claim being
+    reproduced)."""
     datasets = _DATASETS[:1] if quick else _DATASETS
     k = SEED_COUNTS[_PAPER_K]
     report = ExperimentReport(EXP_ID, TITLE)
@@ -40,7 +40,7 @@ def run(quick: bool = False, workers: int | None = None) -> ExperimentReport:
         graph = load_dataset(ds)
         seeds = select_seeds(graph, k, "bfs-level", seed=1)
         # tree identity across engines is asserted inside the helper
-        runs = solve_on_engines(graph, seeds, n_ranks=16, workers=workers)
+        runs = solve_on_engines(graph, seeds, n_ranks=16)
         results = {engine: res for engine, (res, _) in runs.items()}
         walls = {engine: wall for engine, (_, wall) in runs.items()}
         for engine, res in results.items():
@@ -56,34 +56,27 @@ def run(quick: bool = False, workers: int | None = None) -> ExperimentReport:
             )
         ref = results["async-heap"]
         bsp = results["bsp"]
-        # the whole BSP family executes the same supersteps: exact parity
-        for sibling in ("bsp-batched", "bsp-mp"):
-            if bsp.message_count() != results[sibling].message_count():
-                raise AssertionError(
-                    f"{sibling} changed the message counts vs bsp"
-                )
+        # the vectorised engine executes the same supersteps: exact parity
+        if bsp.message_count() != results["bsp-batched"].message_count():
+            raise AssertionError("bsp-batched changed the message counts vs bsp")
         raw[ds] = {
             "async_time": ref.sim_time(),
             "bsp_time": bsp.sim_time(),
             "async_messages": ref.message_count(),
             "bsp_messages": bsp.message_count(),
             "bsp_batched_messages": results["bsp-batched"].message_count(),
-            "bsp_mp_messages": results["bsp-mp"].message_count(),
             "speedup": bsp.sim_time() / ref.sim_time(),
             "bsp_wall_s": walls["bsp"],
             "bsp_batched_wall_s": walls["bsp-batched"],
-            "bsp_mp_wall_s": walls["bsp-mp"],
             "batch_wall_speedup": walls["bsp"] / walls["bsp-batched"],
-            "mp_wall_speedup": walls["bsp"] / walls["bsp-mp"],
         }
     report.tables.append(render_table(headers, rows, title=f"|S| scaled to {k}"))
     report.notes.append(
         "all engines converge to the identical tree; async wins on "
         "simulated time by overlapping communication (no superstep "
-        "barriers); bsp-batched and bsp-mp reproduce bsp's messages "
-        "exactly while replacing the per-message Python loop with array "
-        "supersteps — in-process and sharded across a forked worker "
-        "pool respectively (wall-clock column)"
+        "barriers); bsp-batched reproduces bsp's messages exactly while "
+        "replacing the per-message Python loop with array supersteps "
+        "(wall-clock column)"
     )
     report.data = raw
     return report

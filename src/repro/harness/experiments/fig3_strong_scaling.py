@@ -27,15 +27,10 @@ _BASE_RANKS = {"FRS": 4, "UKW": 4, "CLW": 8, "WDC": 8}
 _PAPER_SEEDS = (100, 1000)
 
 
-def run(
-    quick: bool = False,
-    engine: str = "async-heap",
-    workers: int | None = None,
-) -> ExperimentReport:
+def run(quick: bool = False, engine: str = "async-heap") -> ExperimentReport:
     """Run this experiment; ``quick=True`` shrinks the sweep for
     test-suite use, ``engine`` selects the runtime engine from
-    :mod:`repro.runtime.engines` and ``workers`` sizes the
-    ``bsp-mp`` process pool (see the module docstring for the
+    :mod:`repro.runtime.engines` (see the module docstring for the
     paper claim being reproduced)."""
     datasets = ["FRS", "UKW"] if quick else ["FRS", "UKW", "CLW", "WDC"]
     paper_seeds = _PAPER_SEEDS[:1] if quick else _PAPER_SEEDS
@@ -57,9 +52,7 @@ def run(
             scales = [base, base * 2] if quick else [base, base * 2, base * 4]
             base_total = None
             for ranks in scales:
-                res = solve(
-                    ds, k, n_ranks=ranks, engine=engine, workers=workers
-                )
+                res = solve(ds, k, n_ranks=ranks, engine=engine)
                 pt = phase_times(res)
                 total = res.sim_time()
                 if base_total is None:

@@ -30,40 +30,22 @@ def run_pair(
     k: int,
     n_ranks: int,
     engine: str = "async-heap",
-    workers: int | None = None,
 ):
-    """One FIFO + one priority run (on the chosen runtime engine
-    and ``bsp-mp`` pool size); returns both results."""
-    fifo = solve(
-        dataset,
-        k,
-        n_ranks=n_ranks,
-        discipline="fifo",
-        engine=engine,
-        workers=workers,
-    )
+    """One FIFO + one priority run (on the chosen runtime engine);
+    returns both results."""
+    fifo = solve(dataset, k, n_ranks=n_ranks, discipline="fifo", engine=engine)
     prio = solve(
-        dataset,
-        k,
-        n_ranks=n_ranks,
-        discipline="priority",
-        engine=engine,
-        workers=workers,
+        dataset, k, n_ranks=n_ranks, discipline="priority", engine=engine
     )
     if not np.array_equal(fifo.edges, prio.edges):  # pragma: no cover
         raise AssertionError("queue discipline changed the output tree")
     return fifo, prio
 
 
-def run(
-    quick: bool = False,
-    engine: str = "async-heap",
-    workers: int | None = None,
-) -> ExperimentReport:
+def run(quick: bool = False, engine: str = "async-heap") -> ExperimentReport:
     """Run this experiment; ``quick=True`` shrinks the sweep for
     test-suite use, ``engine`` selects the runtime engine from
-    :mod:`repro.runtime.engines` and ``workers`` sizes the
-    ``bsp-mp`` process pool (see the module docstring for the
+    :mod:`repro.runtime.engines` (see the module docstring for the
     paper claim being reproduced)."""
     datasets = ["LVJ"] if quick else list(_CONFIGS)
     k = SEED_COUNTS[_PAPER_K]
@@ -75,7 +57,7 @@ def run(
     headers = ["dataset", "queue"] + list(PHASE_NAMES) + ["total", "speedup"]
     rows = []
     for ds in datasets:
-        fifo, prio = run_pair(ds, k, _CONFIGS[ds], engine, workers)
+        fifo, prio = run_pair(ds, k, _CONFIGS[ds], engine)
         speedup = fifo.sim_time() / prio.sim_time()
         for label, res in (("FIFO", fifo), ("Priority", prio)):
             pt = phase_times(res)

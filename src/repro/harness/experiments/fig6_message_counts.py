@@ -25,15 +25,10 @@ TITLE = "FIFO vs priority queue: message counts by phase"
 _ASYNC_PHASES = ("Voronoi Cell", "Local Min Dist. Edge", "Steiner Tree Edge")
 
 
-def run(
-    quick: bool = False,
-    engine: str = "async-heap",
-    workers: int | None = None,
-) -> ExperimentReport:
+def run(quick: bool = False, engine: str = "async-heap") -> ExperimentReport:
     """Run this experiment; ``quick=True`` shrinks the sweep for
     test-suite use, ``engine`` selects the runtime engine from
-    :mod:`repro.runtime.engines` and ``workers`` sizes the
-    ``bsp-mp`` process pool (see the module docstring for the
+    :mod:`repro.runtime.engines` (see the module docstring for the
     paper claim being reproduced)."""
     datasets = ["LVJ"] if quick else list(_CONFIGS)
     k = SEED_COUNTS[_PAPER_K]
@@ -45,7 +40,7 @@ def run(
     headers = ["dataset", "queue"] + list(_ASYNC_PHASES) + ["total", "reduction"]
     rows = []
     for ds in datasets:
-        fifo, prio = run_pair(ds, k, _CONFIGS[ds], engine, workers)
+        fifo, prio = run_pair(ds, k, _CONFIGS[ds], engine)
         counts = {}
         for label, res in (("FIFO", fifo), ("Priority", prio)):
             per_phase = {p.name: p.n_messages for p in res.phases}

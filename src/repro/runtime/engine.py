@@ -218,12 +218,6 @@ class EngineBase:
         """Sum of recorded phase makespans (the end-to-end metric)."""
         return float(sum(p.sim_time for p in self.phases))
 
-    def close(self) -> None:
-        """Release external resources (worker pools).  A no-op for the
-        in-process engines; the solver and ``run_phase_with`` call it in
-        a ``finally`` so engines holding OS resources — ``bsp-mp``'s
-        forked workers — are always reclaimed, even on exceptions."""
-
 
 class AsyncEngine(EngineBase):
     """Asynchronous message-driven executor over a partitioned graph."""

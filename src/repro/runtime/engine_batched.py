@@ -51,7 +51,6 @@ from repro.runtime.queues import QueueDiscipline
 __all__ = [
     "BSPBatchedEngine",
     "BatchEmitter",
-    "run_batch_superstep",
     "supports_batch",
 ]
 
@@ -107,35 +106,6 @@ class BatchEmitter:
         )
 
 
-def run_batch_superstep(
-    program: VertexProgram,
-    targets: np.ndarray,
-    payload: np.ndarray,
-    width: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Execute one superstep's message arrays through ``program``.
-
-    Splits the inbox into rank-addressed (``target < 0``) and
-    vertex-addressed messages, runs the program's batch hooks, and
-    returns the drained emissions ``(src_ranks, out_targets,
-    out_payload)``.  This is the *pure* computation of a superstep —
-    no engine accounting — shared verbatim by the in-process batched
-    engine and the ``bsp-mp`` worker processes, which is what makes
-    their emissions (and hence every counter) identical by
-    construction.
-    """
-    emitter = BatchEmitter(width)
-    is_rank = targets < 0
-    if is_rank.any():
-        program.batch_visit_rank(
-            -targets[is_rank] - 1, payload[is_rank], emitter
-        )
-    vmask = ~is_rank
-    if vmask.any():
-        program.batch_visit(targets[vmask], payload[vmask], emitter)
-    return emitter.drain()
-
-
 class BSPBatchedEngine(BSPEngine):
     """Bulk-synchronous engine with vectorised supersteps.
 
@@ -189,10 +159,6 @@ class BSPBatchedEngine(BSPEngine):
             [r for _, r in rows], dtype=np.int64
         ).reshape(-1, width)
 
-        # the iterable above may be a generator that initialises program
-        # state (seed bootstrap), so subclasses replicate state only now
-        self._phase_begin(program)
-
         barrier = machine.allreduce_time(n_ranks, 8) + machine.message_delay(
             n_ranks > 1
         )
@@ -200,113 +166,56 @@ class BSPBatchedEngine(BSPEngine):
         events = 0
         total_time = 0.0
         while targets.size:
-            # one driver call may execute several *logical* supersteps
-            # (a coalescing subclass groups them behind one barrier);
-            # every yielded step runs the identical accounting below,
-            # so the logical counters never depend on the grouping
-            for step in self._drive_supersteps(program, targets, payload, width):
-                (
-                    in_targets,
-                    _in_payload,
-                    proc_rank,
-                    src_ranks,
-                    out_targets,
-                    out_payload,
-                ) = step
-                supersteps += 1
-                if supersteps > max_supersteps:
-                    raise SimulationError(
-                        f"BSP phase {name!r} did not converge"
-                    )
-                events += in_targets.size
-                if max_events is not None and events > max_events:
-                    raise SimulationError(
-                        f"phase {name!r} exceeded {max_events} events "
-                        "(runaway?)"
-                    )
-                if in_targets.size > stats.peak_queue_total:
-                    stats.peak_queue_total = int(in_targets.size)
-                stats.n_visits += int(in_targets.size)
-
-                # vectorised cost-model accounting: t_visit per processed
-                # message, t_emit per emission, attributed to the acting
-                # rank
-                step_rank_time = machine.t_visit * np.bincount(
-                    proc_rank, minlength=n_ranks
-                ) + machine.t_emit * np.bincount(
-                    src_ranks, minlength=n_ranks
+            supersteps += 1
+            if supersteps > max_supersteps:
+                raise SimulationError(f"BSP phase {name!r} did not converge")
+            events += targets.size
+            if max_events is not None and events > max_events:
+                raise SimulationError(
+                    f"phase {name!r} exceeded {max_events} events (runaway?)"
                 )
-                stats.busy_time += step_rank_time
-                total_time += float(step_rank_time.max()) + barrier
+            if targets.size > stats.peak_queue_total:
+                stats.peak_queue_total = int(targets.size)
+            stats.n_visits += int(targets.size)
 
-                dest = np.where(
-                    out_targets < 0,
-                    -out_targets - 1,
-                    owner[np.maximum(out_targets, 0)],
+            # the rank processing each inbox message: the addressed rank,
+            # or the owner of the addressed vertex
+            is_rank = targets < 0
+            proc_rank = np.where(
+                is_rank, -targets - 1, owner[np.maximum(targets, 0)]
+            )
+            emitter = BatchEmitter(width)
+            if is_rank.any():
+                program.batch_visit_rank(
+                    -targets[is_rank] - 1, payload[is_rank], emitter
                 )
-                n_local = int((dest == src_ranks).sum())
-                stats.n_messages_local += n_local
-                stats.n_messages_remote += int(out_targets.size) - n_local
-                stats.bytes_sent += (
-                    int(out_targets.size) * machine.bytes_per_message
-                )
+            vmask = ~is_rank
+            if vmask.any():
+                program.batch_visit(targets[vmask], payload[vmask], emitter)
+            src_ranks, out_targets, out_payload = emitter.drain()
 
-                targets, payload = out_targets, out_payload
+            # vectorised cost-model accounting: t_visit per processed
+            # message, t_emit per emission, attributed to the acting rank
+            step_rank_time = machine.t_visit * np.bincount(
+                proc_rank, minlength=n_ranks
+            ) + machine.t_emit * np.bincount(src_ranks, minlength=n_ranks)
+            stats.busy_time += step_rank_time
+            total_time += float(step_rank_time.max()) + barrier
 
-        self._phase_end(program)
+            dest = np.where(
+                out_targets < 0,
+                -out_targets - 1,
+                owner[np.maximum(out_targets, 0)],
+            )
+            n_local = int((dest == src_ranks).sum())
+            stats.n_messages_local += n_local
+            stats.n_messages_remote += int(out_targets.size) - n_local
+            stats.bytes_sent += int(out_targets.size) * machine.bytes_per_message
+
+            targets, payload = out_targets, out_payload
+
         stats.sim_time = total_time
         self.n_supersteps = supersteps
         self.clock += total_time
         self.phases.append(stats)
         return stats
-
-    # ------------------------------------------------------------------ #
-    # subclass hooks (the ``bsp-mp`` engine overrides all of these)
-    # ------------------------------------------------------------------ #
-    def _drive_supersteps(
-        self,
-        program: VertexProgram,
-        targets: np.ndarray,
-        payload: np.ndarray,
-        width: int,
-    ):
-        """Execute one *or more* logical supersteps starting from the
-        given inbox, yielding per superstep the accounting tuple
-        ``(in_targets, in_payload, proc_rank, src_ranks, out_targets,
-        out_payload)``.  The base engine always yields exactly one step
-        per call; the ``bsp-mp`` engine's adaptive coalescing yields a
-        whole group executed behind a single barrier — the ``run_phase``
-        loop above applies the identical per-step accounting either
-        way, which is what keeps logical counters independent of the
-        physical grouping."""
-        owner = self.partition.owner
-        is_rank = targets < 0
-        proc_rank = np.where(
-            is_rank, -targets - 1, owner[np.maximum(targets, 0)]
-        )
-        src_ranks, out_targets, out_payload = self._superstep_batch(
-            program, targets, payload, proc_rank, width
-        )
-        yield targets, payload, proc_rank, src_ranks, out_targets, out_payload
-
-    def _superstep_batch(
-        self,
-        program: VertexProgram,
-        targets: np.ndarray,
-        payload: np.ndarray,
-        proc_rank: np.ndarray,
-        width: int,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Compute one superstep's emissions.  ``proc_rank`` is the rank
-        processing each inbox message (its owner, or the addressed rank)
-        — unused here, but it is the routing key a distributed subclass
-        shards the inbox by."""
-        return run_batch_superstep(program, targets, payload, width)
-
-    def _phase_begin(self, program: VertexProgram) -> None:
-        """Called once per phase after the initial messages are encoded
-        (and any state-initialising generator has run)."""
-
-    def _phase_end(self, program: VertexProgram) -> None:
-        """Called once per phase at quiescence, before stats are
-        finalised — where a distributed subclass gathers worker state."""

@@ -244,7 +244,6 @@ class BSPNativeEngine(BSPBatchedEngine):
         # the iterable above may be a generator that initialises program
         # state (seed bootstrap), so read the state arrays only now
         src_arr, pred_arr, dist_arr = program.native_state()
-        self._phase_begin(program)
 
         # per-phase kernel scratch: stamp-keyed per-vertex reduction slots
         stamp = np.zeros(n, dtype=np.int64)
@@ -292,7 +291,6 @@ class BSPNativeEngine(BSPBatchedEngine):
             stats.n_messages_remote += int(targets.size) - int(n_local)
             stats.bytes_sent += int(targets.size) * machine.bytes_per_message
 
-        self._phase_end(program)
         stats.sim_time = total_time
         self.n_supersteps = supersteps
         self.clock += total_time

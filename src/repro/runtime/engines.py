@@ -10,31 +10,25 @@ the CLI, the benchmarks — funnels through this module, so a single
 Contract
 --------
 An engine is built by a registered factory
-``(partition, machine=None, discipline=..., *, aggregate_remote=False,
-workers=None, checkpoint_interval=None, max_restarts=None,
-worker_timeout_s=None, fault_plan=None, shm_transport=None,
-coalesce_threshold=None, coalesce_max=None)`` — factories must accept
-(and may ignore) every keyword knob, so a single :func:`make_engine`
-call site serves all engines —
-and exposes the :class:`~repro.runtime.engine.EngineBase` surface:
+``(partition, machine=None, discipline=..., *, aggregate_remote=False)``
+— factories must accept (and may ignore) the keyword knob, so a single
+:func:`make_engine` call site serves all engines — and exposes the
+:class:`~repro.runtime.engine.EngineBase` surface:
 
 * ``run_phase(name, program, initial_messages, *, max_events=None)``
   runs a :class:`~repro.runtime.engine.VertexProgram` to quiescence and
   returns a :class:`~repro.runtime.engine.PhaseStats`;
 * ``add_analytic_phase`` / ``total_time`` / ``phases`` record phases
-  whose cost is analytic (collectives, MST);
-* ``close()`` releases external resources (``bsp-mp``'s worker pool; a
-  no-op for the in-process engines).  Callers that own an engine must
-  close it in a ``finally`` — the solver and :func:`run_phase_with` do.
+  whose cost is analytic (collectives, MST).
 
 Parity guarantee (pinned by ``tests/test_engines.py`` and
-``tests/test_engine_mp.py``): every engine drives a program to the
-**identical converged state** — for the solver, the identical
+``tests/test_engine_conformance.py``): every engine drives a program to
+the **identical converged state** — for the solver, the identical
 ``(src, dist)`` fixpoint and hence the bit-identical Steiner tree.  The
-bulk-synchronous engines (``bsp``, ``bsp-batched``, ``bsp-mp`` at any
-worker count) additionally produce **identical message counts, visit
-counts and superstep counts** — they execute the same supersteps, one
-per-message, one vectorised, one vectorised-and-rank-parallel.  Message
+bulk-synchronous engines (``bsp``, ``bsp-batched``, ``bsp-native``)
+additionally produce **identical message counts, visit counts and
+superstep counts** — they execute the same supersteps, one per-message,
+one vectorised, one compiled.  Message
 counts *across* execution models legitimately differ — scheduling order
 changes how many wasted relaxations occur, which is exactly the effect
 the paper's Figs. 5-6 measure — so cross-model count equality is a
@@ -56,13 +50,6 @@ Registered engines
     superstep is NumPy array operations over the partitioned CSR
     instead of one Python callback per message — same semantics as
     ``bsp``, order-of-magnitude less interpreter overhead.
-``bsp-mp``
-    Multiprocess rank-parallel supersteps
-    (:class:`~repro.runtime.engine_mp.BSPMultiprocessEngine`): the
-    batched supersteps sharded across a persistent pool of forked
-    workers, one per group of simulated ranks — true parallelism,
-    selected with ``SolverConfig(engine="bsp-mp", workers=N)`` or
-    ``repro-steiner solve --engine bsp-mp --workers N``.
 ``bsp-native``
     Compiled supersteps
     (:class:`~repro.runtime.engine_native.BSPNativeEngine`): the whole
@@ -71,8 +58,8 @@ Registered engines
     :func:`engine_availability` / ``repro-steiner engines`` report the
     fallback and the import-failure reason.
 
->>> "bsp-mp" in available_engines() and "bsp-native" in available_engines()
-True
+>>> available_engines()
+['async-heap', 'bsp', 'bsp-batched', 'bsp-native']
 >>> available_engines()[0] == DEFAULT_ENGINE == "async-heap"
 True
 """
@@ -88,12 +75,8 @@ import numpy as np
 from repro.runtime.cost_model import MachineModel
 from repro.runtime.engine import AsyncEngine, BSPEngine, EngineBase, PhaseStats
 from repro.runtime.engine_batched import BSPBatchedEngine
-from repro.runtime.engine_mp import BSPMultiprocessEngine
 from repro.runtime.partition import PartitionedGraph
 from repro.runtime.queues import QueueDiscipline
-
-if TYPE_CHECKING:
-    from repro.faults import FaultPlan
 
 __all__ = [
     "DEFAULT_ENGINE",
@@ -143,35 +126,12 @@ class EngineResult:
     n_supersteps:
         Superstep count for the bulk-synchronous engines, ``None`` for
         the asynchronous one.
-    workers:
-        Worker processes the phase actually ran on: ``None`` for
-        engines without a pool, ``1`` when ``bsp-mp`` fell back to
-        in-process execution, the pool size otherwise.
-    restarts / replayed_supersteps / recovery_wall_s:
-        Fault-recovery provenance from ``bsp-mp``'s supervisor: worker
-        restarts performed, supersteps re-driven during recovery, and
-        wall-clock seconds spent recovering.  All zero on a fault-free
-        run and for engines without a pool — and whenever non-zero, the
-        results are still bit-identical to the fault-free run (the
-        recovery-preserves-parity contract, ``docs/robustness.md``).
-    coalesced_supersteps:
-        How many *logical* supersteps ``bsp-mp`` executed inside
-        coalesced groups (several supersteps behind one barrier,
-        ``docs/engines.md``).  Zero for every other engine and when
-        coalescing never engaged; ``n_supersteps`` always counts
-        logical supersteps regardless, so this records only the
-        physical-barrier savings.
     """
 
     stats: PhaseStats
     engine: str
     elapsed_s: float
     n_supersteps: Optional[int] = None
-    workers: Optional[int] = None
-    restarts: int = 0
-    replayed_supersteps: int = 0
-    recovery_wall_s: float = 0.0
-    coalesced_supersteps: int = 0
 
 
 def register_engine(
@@ -276,43 +236,15 @@ def make_engine(
     discipline: QueueDiscipline | str = QueueDiscipline.PRIORITY,
     *,
     aggregate_remote: bool = False,
-    workers: Optional[int] = None,
-    checkpoint_interval: Optional[int] = None,
-    max_restarts: Optional[int] = None,
-    worker_timeout_s: Optional[float] = None,
-    fault_plan: "FaultPlan | None" = None,
-    shm_transport: Optional[bool] = None,
-    coalesce_threshold: Optional[int] = None,
-    coalesce_max: Optional[int] = None,
 ) -> EngineBase:
     """Instantiate the named engine over a partitioned graph.
 
-    ``workers`` sizes ``bsp-mp``'s process pool (``None`` = its
-    reproducible default); ``checkpoint_interval`` / ``max_restarts`` /
-    ``worker_timeout_s`` / ``fault_plan`` configure its fault-tolerance
-    layer, and ``shm_transport`` / ``coalesce_threshold`` /
-    ``coalesce_max`` its data plane (``None`` = engine defaults; see
-    :mod:`repro.runtime.engine_mp`).  The in-process engines accept and
-    ignore every pool knob, so callers can thread them unconditionally
-    — none of the knobs changes results (the recovery-preserves-parity
-    and transport-preserves-parity contracts).  The caller owns the
-    returned engine and must
-    :meth:`~repro.runtime.engine.EngineBase.close` it when done (a
-    no-op for engines without external resources).
+    ``aggregate_remote`` turns on HavoqGT-style message aggregation in
+    the asynchronous engine; the bulk-synchronous engines accept and
+    ignore it, so callers can thread it unconditionally.
     """
     return get_engine(name)(
-        partition,
-        machine,
-        discipline,
-        aggregate_remote=aggregate_remote,
-        workers=workers,
-        checkpoint_interval=checkpoint_interval,
-        max_restarts=max_restarts,
-        worker_timeout_s=worker_timeout_s,
-        fault_plan=fault_plan,
-        shm_transport=shm_transport,
-        coalesce_threshold=coalesce_threshold,
-        coalesce_max=coalesce_max,
+        partition, machine, discipline, aggregate_remote=aggregate_remote
     )
 
 
@@ -326,38 +258,23 @@ def run_phase_with(
     discipline: QueueDiscipline | str = QueueDiscipline.PRIORITY,
     name: str = "phase",
     max_events: Optional[int] = None,
-    workers: Optional[int] = None,
 ) -> EngineResult:
     """Run one program phase under the chosen engine.
 
     The program converges to the identical state under every engine (the
     registry contract); the choice trades execution model and wall-clock
     speed.  Returns the stats plus provenance, for benchmarks and the
-    ``repro-steiner engines --bench`` report.  The engine is always
-    closed before returning — even when the phase raises — so ``bsp-mp``
-    worker processes never outlive the call.
+    ``repro-steiner engines --bench`` report.
     """
-    engine = make_engine(
-        engine_name, partition, machine, discipline, workers=workers
-    )
-    try:
-        t0 = time.perf_counter()
-        stats = engine.run_phase(
-            name, program, initial_messages, max_events=max_events
-        )
-        elapsed = time.perf_counter() - t0
-    finally:
-        engine.close()
+    engine = make_engine(engine_name, partition, machine, discipline)
+    t0 = time.perf_counter()
+    stats = engine.run_phase(name, program, initial_messages, max_events=max_events)
+    elapsed = time.perf_counter() - t0
     return EngineResult(
         stats=stats,
         engine=engine_name,
         elapsed_s=elapsed,
         n_supersteps=getattr(engine, "n_supersteps", None),
-        workers=getattr(engine, "workers_used", None),
-        restarts=getattr(engine, "restarts", 0),
-        replayed_supersteps=getattr(engine, "replayed_supersteps", 0),
-        recovery_wall_s=getattr(engine, "recovery_wall_s", 0.0),
-        coalesced_supersteps=getattr(engine, "coalesced_supersteps", 0),
     )
 
 
@@ -370,7 +287,6 @@ def verify_engines_agree(
     engines: Sequence[str] | None = None,
     machine: MachineModel | None = None,
     discipline: QueueDiscipline | str = QueueDiscipline.PRIORITY,
-    workers: Optional[int] = None,
 ) -> dict[str, EngineResult]:
     """Run a fresh program under several engines and assert their
     converged states are identical (the registry contract).
@@ -393,7 +309,6 @@ def verify_engines_agree(
             list(initial_fn(program)),
             machine=machine,
             discipline=discipline,
-            workers=workers,
         )
         state = state_fn(program)
         if ref_state is None:
@@ -420,14 +335,6 @@ def _async_heap_factory(
     discipline: QueueDiscipline | str = QueueDiscipline.PRIORITY,
     *,
     aggregate_remote: bool = False,
-    workers: Optional[int] = None,
-    checkpoint_interval: Optional[int] = None,
-    max_restarts: Optional[int] = None,
-    worker_timeout_s: Optional[float] = None,
-    fault_plan: "FaultPlan | None" = None,
-    shm_transport: Optional[bool] = None,
-    coalesce_threshold: Optional[int] = None,
-    coalesce_max: Optional[int] = None,
 ) -> AsyncEngine:
     return AsyncEngine(
         partition, machine, discipline, aggregate_remote=aggregate_remote
@@ -443,18 +350,9 @@ def _bsp_factory(
     discipline: QueueDiscipline | str = QueueDiscipline.PRIORITY,
     *,
     aggregate_remote: bool = False,
-    workers: Optional[int] = None,
-    checkpoint_interval: Optional[int] = None,
-    max_restarts: Optional[int] = None,
-    worker_timeout_s: Optional[float] = None,
-    fault_plan: "FaultPlan | None" = None,
-    shm_transport: Optional[bool] = None,
-    coalesce_threshold: Optional[int] = None,
-    coalesce_max: Optional[int] = None,
 ) -> BSPEngine:
     # aggregation is an async-runtime knob; BSP already models bulk
-    # per-superstep delivery, so the flag is accepted and ignored —
-    # as is workers, which only the pooled engine consumes
+    # per-superstep delivery, so the flag is accepted and ignored
     return BSPEngine(partition, machine, discipline)
 
 
@@ -468,50 +366,8 @@ def _bsp_batched_factory(
     discipline: QueueDiscipline | str = QueueDiscipline.PRIORITY,
     *,
     aggregate_remote: bool = False,
-    workers: Optional[int] = None,
-    checkpoint_interval: Optional[int] = None,
-    max_restarts: Optional[int] = None,
-    worker_timeout_s: Optional[float] = None,
-    fault_plan: "FaultPlan | None" = None,
-    shm_transport: Optional[bool] = None,
-    coalesce_threshold: Optional[int] = None,
-    coalesce_max: Optional[int] = None,
 ) -> BSPBatchedEngine:
     return BSPBatchedEngine(partition, machine, discipline)
-
-
-@register_engine(
-    "bsp-mp",
-    "multiprocess rank-parallel batched supersteps (forked worker pool)",
-)
-def _bsp_mp_factory(
-    partition: PartitionedGraph,
-    machine: MachineModel | None = None,
-    discipline: QueueDiscipline | str = QueueDiscipline.PRIORITY,
-    *,
-    aggregate_remote: bool = False,
-    workers: Optional[int] = None,
-    checkpoint_interval: Optional[int] = None,
-    max_restarts: Optional[int] = None,
-    worker_timeout_s: Optional[float] = None,
-    fault_plan: "FaultPlan | None" = None,
-    shm_transport: Optional[bool] = None,
-    coalesce_threshold: Optional[int] = None,
-    coalesce_max: Optional[int] = None,
-) -> BSPMultiprocessEngine:
-    return BSPMultiprocessEngine(
-        partition,
-        machine,
-        discipline,
-        workers=workers,
-        checkpoint_interval=checkpoint_interval,
-        max_restarts=max_restarts,
-        worker_timeout_s=worker_timeout_s,
-        fault_plan=fault_plan,
-        shm_transport=shm_transport,
-        coalesce_threshold=coalesce_threshold,
-        coalesce_max=coalesce_max,
-    )
 
 
 def _register_bsp_native() -> None:
@@ -538,14 +394,6 @@ def _register_bsp_native() -> None:
         discipline: QueueDiscipline | str = QueueDiscipline.PRIORITY,
         *,
         aggregate_remote: bool = False,
-        workers: Optional[int] = None,
-        checkpoint_interval: Optional[int] = None,
-        max_restarts: Optional[int] = None,
-        worker_timeout_s: Optional[float] = None,
-        fault_plan: "FaultPlan | None" = None,
-        shm_transport: Optional[bool] = None,
-        coalesce_threshold: Optional[int] = None,
-        coalesce_max: Optional[int] = None,
     ) -> EngineBase:
         from repro.runtime.engine_native import BSPNativeEngine
 
@@ -567,6 +415,5 @@ if TYPE_CHECKING:
         AsyncEngine,
         BSPEngine,
         BSPBatchedEngine,
-        BSPMultiprocessEngine,
         BSPNativeEngine,
     )

@@ -4,9 +4,7 @@
 ``repro-steiner serve``.  It owns
 
 * a **graph store** — datasets loaded once per process and shared by
-  every request (and, through the ``bsp-mp`` engine's forked worker
-  pool, by every worker as copy-on-write pages — graphs are never
-  pickled across processes);
+  every request;
 * per-graph :class:`repro.api.Session` objects keeping partition and
   solver state warm across requests;
 * a **batching worker**: concurrent requests arriving within
@@ -27,10 +25,7 @@ Robustness (``docs/robustness.md``): requests may carry a
 ``deadline_ms`` budget — expiry in-queue or mid-batch answers with a
 structured ``timeout`` error instead of hanging; ``max_queue_depth``
 bounds admission, shedding excess load with a ``retry_after_ms`` hint;
-transient solve failures (the ``bsp-mp`` worker-crash class,
-:class:`~repro.errors.WorkerCrashError` — *never* deterministic
-errors, which would recur identically) are retried with exponential
-backoff; :meth:`SolverService.drain` stops admissions and waits out
+:meth:`SolverService.drain` stops admissions and waits out
 in-flight work for graceful shutdown, and :meth:`SolverService.health`
 reports liveness for load balancers.
 """
@@ -47,15 +42,12 @@ from repro.api import Session, _apply_overrides
 from repro.api.schema import SolveRequest, parse_request
 from repro.core.config import SolverConfig
 from repro.core.result import SteinerTreeResult
-from repro.errors import WorkerCrashError
 from repro.faults import env_plan
 from repro.serve.batch import fused_multisource
 from repro.serve.cache import SolveCache
 
 if TYPE_CHECKING:
-    from repro.core.solver import DistributedSteinerSolver
     from repro.graph.csr import CSRGraph
-    from repro.shortest_paths.voronoi import VoronoiDiagram
 
 __all__ = [
     "QueueFull",
@@ -112,7 +104,6 @@ class ServeCounters:
     cache_misses: int = 0
     shed: int = 0
     timeouts: int = 0
-    retries: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -126,7 +117,6 @@ class ServeCounters:
             "cache_misses": self.cache_misses,
             "shed": self.shed,
             "timeouts": self.timeouts,
-            "retries": self.retries,
         }
 
 
@@ -228,16 +218,7 @@ class SolverService:
         Admission bound: with more than this many requests already
         queued, :meth:`submit` sheds the newcomer with :class:`QueueFull`
         (``retry_after_ms`` sized from the backlog) instead of buffering
-        unbounded work.  ``None`` (default) = unbounded, the pre-PR-8
-        behaviour.
-    transient_retries / retry_backoff_s:
-        Exponential-backoff retry of *transient* solve failures — the
-        ``bsp-mp`` worker-crash class
-        (:class:`~repro.errors.WorkerCrashError`) only; deterministic
-        errors (bad seeds, disconnected components, program bugs) recur
-        identically and are never retried.  ``transient_retries`` extra
-        attempts (0 disables), first backoff ``retry_backoff_s``
-        seconds, doubling per attempt.
+        unbounded work.  ``None`` (default) = unbounded.
     """
 
     def __init__(
@@ -249,8 +230,6 @@ class SolverService:
         max_batch: int = 8,
         graph_loader: Callable[[str], Any] | None = None,
         max_queue_depth: int | None = None,
-        transient_retries: int = 2,
-        retry_backoff_s: float = 0.05,
         **config_kwargs: Any,
     ) -> None:
         if config is not None and config_kwargs:
@@ -279,12 +258,6 @@ class SolverService:
         if max_queue_depth is not None and max_queue_depth < 1:
             raise ValueError("max_queue_depth must be >= 1 (or None)")
         self.max_queue_depth = max_queue_depth
-        if transient_retries < 0:
-            raise ValueError("transient_retries must be >= 0")
-        if retry_backoff_s < 0:
-            raise ValueError("retry_backoff_s must be >= 0")
-        self.transient_retries = transient_retries
-        self.retry_backoff_s = retry_backoff_s
         if graph_loader is None:
             from repro.harness.datasets import load_dataset
 
@@ -612,8 +585,8 @@ class SolverService:
             seeds = sorted(seeds_key)
             shared_sweep = fused and seeds_key in fused_diagrams
             try:
-                result = self._solve_with_retry(
-                    solver, seeds, fused_diagrams.get(seeds_key)
+                result = solver.solve(
+                    seeds, diagram=fused_diagrams.get(seeds_key)
                 )
             except Exception as exc:
                 for p in pendings:
@@ -636,34 +609,6 @@ class SolverService:
                 self._finish(
                     p, result=replace(result, provenance=provenance)
                 )
-
-    def _solve_with_retry(
-        self,
-        solver: "DistributedSteinerSolver",
-        seeds: Sequence[int],
-        diagram: "VoronoiDiagram | None",
-    ) -> SteinerTreeResult:
-        """One solve, retrying *transient* failures only.
-
-        :class:`~repro.errors.WorkerCrashError` means the ``bsp-mp``
-        restart budget was spent — a re-run from scratch may well
-        succeed (fresh processes, fresh budget), so it is retried with
-        exponential backoff up to ``transient_retries`` times.  Every
-        other exception is deterministic (it would recur identically)
-        and propagates immediately.
-        """
-        attempt = 0
-        while True:
-            try:
-                return solver.solve(seeds, diagram=diagram)
-            except WorkerCrashError:
-                if attempt >= self.transient_retries:
-                    raise
-                backoff = self.retry_backoff_s * (2.0**attempt)
-                attempt += 1
-                self.counters.retries += 1
-                if backoff > 0:
-                    time.sleep(backoff)
 
     def _finish(
         self,

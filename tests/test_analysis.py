@@ -46,12 +46,9 @@ ALL_RULE_IDS = {
     "REP203",
     "REP301",
     "REP302",
-    "REP401",
-    "REP402",
     "REP501",
     "REP502",
     "REP503",
-    "REP504",
 }
 
 
@@ -104,18 +101,6 @@ class TestFixtures:
             ("REP302", 15),
             ("REP302", 16),
         ]
-
-    def test_mp_protocol_fixture(self):
-        findings = _check_fixture("bad_mp.py")
-        assert _pairs(findings) == [("REP401", 5)]
-        assert "mp_collect" in findings[0].message
-        assert "mp_merge" in findings[0].message
-
-    def test_mp_width_fixture(self):
-        findings = _check_fixture("bad_mp_width.py")
-        assert _pairs(findings) == [("REP402", 5), ("REP402", 20)]
-        assert "never assigns" in findings[0].message
-        assert "computes rather than pins" in findings[1].message
 
     def test_fixture_dir_is_never_scanned_by_default(self):
         # The deliberately-bad fixtures must not fail a normal run over
@@ -178,8 +163,6 @@ class TestReport:
         assert counts["REP102"] == 4
         assert counts["REP301"] == 1
         assert counts["REP302"] == 2
-        assert counts["REP401"] == 1
-        assert counts["REP402"] == 2
         # suppressed findings are recorded but never counted
         assert sum(1 for f in report.findings if f.suppressed) == 2
 
@@ -266,7 +249,7 @@ class TestRegistryContracts:
         from repro.runtime import engines as engines_mod
 
         def broken_factory(partition, machine=None, discipline=None, **kw):
-            return types.SimpleNamespace(close=lambda: None)
+            return types.SimpleNamespace()
 
         monkeypatch.setitem(engines_mod._REGISTRY, "_broken", broken_factory)
         findings = [
@@ -275,23 +258,6 @@ class TestRegistryContracts:
         assert len(findings) == 1
         assert "_broken" in findings[0].message
         assert "run_phase" in findings[0].message
-
-    def test_shm_round_trip_probe_clean(self):
-        from repro.analysis.rules_mp import check_shm_round_trip
-
-        assert list(check_shm_round_trip()) == []
-
-    def test_unusable_width_is_rep504(self, monkeypatch):
-        from repro.analysis.rules_mp import check_shm_round_trip
-        from repro.core import voronoi_visitor
-
-        monkeypatch.setattr(
-            voronoi_visitor.VoronoiProgram, "batch_payload_width", 0
-        )
-        findings = list(check_shm_round_trip())
-        assert [f.rule for f in findings] == ["REP504"]
-        assert "VoronoiProgram" in findings[0].message
-        assert findings[0].path.endswith("voronoi_visitor.py")
 
     def test_broken_backend_is_rep502(self, monkeypatch):
         from repro.shortest_paths import backends as backends_mod
@@ -313,16 +279,7 @@ class TestRegistryContracts:
 # fingerprint exclusions: the pinned regression (shared data)
 # --------------------------------------------------------------------- #
 class TestFingerprintExclusionRegression:
-    PINNED: ClassVar[set[str]] = {
-        "bsp",
-        "checkpoint_interval",
-        "max_restarts",
-        "worker_timeout_s",
-        "fault_plan",
-        "shm_transport",
-        "coalesce_threshold",
-        "coalesce_max",
-    }
+    PINNED: ClassVar[set[str]] = {"bsp", "fault_plan"}
 
     def test_exclusion_set_is_exactly_pinned(self):
         # Growing this set must be a reviewed decision: a new exclusion
@@ -340,15 +297,11 @@ class TestFingerprintExclusionRegression:
         assert material == field_names - self.PINNED
 
     def test_fingerprint_ignores_excluded_fields(self):
-        base = SolverConfig(engine="bsp-mp")
+        from repro.faults import FaultAction, FaultPlan
+
+        base = SolverConfig(engine="bsp-batched")
         tweaked = dataclasses.replace(
-            base,
-            checkpoint_interval=7,
-            max_restarts=5,
-            worker_timeout_s=42.0,
-            shm_transport=False,
-            coalesce_threshold=1,
-            coalesce_max=1,
+            base, fault_plan=FaultPlan([FaultAction("corrupt_cache")])
         )
         assert base.fingerprint() == tweaked.fingerprint()
 

@@ -8,8 +8,8 @@ cross-references locally, the strict build catches them again (plus
 anything mkdocs-specific) in CI.
 
 The doctest half is the contract-docstring spot-check for the runtime
-modules: the examples embedded in ``repro.runtime.engines``,
-``engine_batched`` and ``engine_mp`` must execute.
+modules: the examples embedded in ``repro.runtime.engines`` and
+``engine_batched`` must execute.
 """
 
 from __future__ import annotations
@@ -121,11 +121,7 @@ class TestDoctests:
 
     @pytest.mark.parametrize(
         "module_name",
-        [
-            "repro.runtime.engines",
-            "repro.runtime.engine_batched",
-            "repro.runtime.engine_mp",
-        ],
+        ["repro.runtime.engines", "repro.runtime.engine_batched"],
     )
     def test_runtime_module_doctests(self, module_name):
         import importlib

@@ -3,10 +3,9 @@
 This module is the single place the registry-wide parity contract is
 spelled out and exercised.  The helpers here (``solve_with``,
 ``assert_counts_identical``, ``assert_conformance``) are the canonical
-implementations — ``tests/test_engines.py``, ``tests/test_engine_mp.py``
-and ``tests/test_native.py`` import them for their engine-specific
-suites, so there is exactly one definition of "engines agree" in the
-tree.
+implementations — ``tests/test_engines.py`` and ``tests/test_native.py``
+import them for their engine-specific suites, so there is exactly one
+definition of "engines agree" in the tree.
 
 What the matrix pins, for **every registered engine** (discovered via
 ``engine_availability()``, so a newly registered engine joins the
@@ -17,13 +16,8 @@ matrix automatically and cannot ship unpinned):
 * bit-identical BSP counters (``n_visits``, ``n_messages_local``,
   ``n_messages_remote``, ``bytes_sent``, ``peak_queue_total``) and
   superstep counts across the whole BSP family (``bsp``,
-  ``bsp-batched``, ``bsp-mp`` at worker counts {1, 2, 4},
-  ``bsp-native``), with ``sim_time`` equal to float round-off;
-* ``bsp-mp`` specifically: the shared-memory transport and the pickled
-  fallback produce bit-identical results *and counters*, and adaptive
-  superstep coalescing preserves the logical superstep count while
-  recording the physical grouping in provenance
-  (``coalesced_supersteps``) — the transport-preserves-parity clause.
+  ``bsp-batched``, ``bsp-native``), with ``sim_time`` equal to float
+  round-off.
 """
 
 from __future__ import annotations
@@ -33,14 +27,9 @@ import pytest
 
 from repro.core.config import SolverConfig
 from repro.core.solver import DistributedSteinerSolver
-from repro.core.voronoi_visitor import VoronoiProgram
 from repro.graph.generators import grid_graph
 from repro.graph.weights import assign_uniform_weights
-from repro.runtime.engine_batched import BSPBatchedEngine
-from repro.runtime.engine_mp import BSPMultiprocessEngine, fork_available
 from repro.runtime.engines import available_engines, engine_availability
-from repro.runtime.partition import block_partition
-from repro.runtime.shm_transport import SHM_AVAILABLE
 from tests.conftest import component_seeds, make_connected_graph
 
 #: the engine counters that must match bit-for-bit across the BSP family
@@ -54,17 +43,7 @@ COUNTERS = (
 
 #: engines that share the bulk-synchronous superstep semantics: their
 #: counters are bit-identical, not merely their converged state
-BSP_FAMILY = ("bsp", "bsp-batched", "bsp-mp", "bsp-native")
-
-#: ``bsp-mp`` pool sizes the conformance matrix pins (issue clause)
-WORKER_COUNTS = (1, 2, 4)
-
-needs_fork = pytest.mark.skipif(
-    not fork_available(), reason="platform lacks the fork start method"
-)
-needs_shm = pytest.mark.skipif(
-    not SHM_AVAILABLE, reason="multiprocessing.shared_memory unavailable"
-)
+BSP_FAMILY = ("bsp", "bsp-batched", "bsp-native")
 
 
 def registered_engines() -> list[str]:
@@ -155,8 +134,7 @@ def _er(weight_regime):
 
 
 def _chain(weight_regime):
-    # a long path: maximally deep supersteps with tiny inboxes — the
-    # regime where bsp-mp's adaptive coalescing engages hardest
+    # a long path: maximally deep supersteps with tiny inboxes
     g = grid_graph(1, 48)
     return g if weight_regime == "unit" else assign_uniform_weights(
         g, (1, 9), seed=54
@@ -182,7 +160,7 @@ class TestConformanceMatrix:
     def test_cell(self, topo, regime, n_ranks):
         graph = TOPOLOGIES[topo](regime)
         seeds = component_seeds(graph, 4, seed=55)
-        assert_conformance(graph, seeds, n_ranks=n_ranks, workers=2)
+        assert_conformance(graph, seeds, n_ranks=n_ranks)
 
     def test_matrix_covers_every_registered_engine(self):
         """The engine axis is *discovered*, never hand-listed: a new
@@ -192,148 +170,7 @@ class TestConformanceMatrix:
             "async-heap",
             "bsp",
             "bsp-batched",
-            "bsp-mp",
             "bsp-native",
         }
         # and the family split is total over the discovered axis
         assert all(n in BSP_FAMILY or n == "async-heap" for n in names)
-
-
-@needs_fork
-class TestWorkerCountConformance:
-    """``bsp-mp`` at every pinned pool size, on both transports."""
-
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    @pytest.mark.parametrize("shm", [True, False], ids=["shm", "pickle"])
-    def test_counters_and_tree(self, random_graph, workers, shm):
-        if shm and not SHM_AVAILABLE:
-            pytest.skip("multiprocessing.shared_memory unavailable")
-        seeds = component_seeds(random_graph, 5, seed=56)
-        results = assert_conformance(
-            random_graph,
-            seeds,
-            n_ranks=8,
-            engines=("bsp", "bsp-batched", "bsp-mp"),
-            workers=workers,
-            shm_transport=shm,
-        )
-        mp = results["bsp-mp"]
-        if workers > 1:
-            assert mp.provenance["transport"] == (
-                "shm" if shm else "pickle"
-            )
-        else:
-            assert "transport" not in mp.provenance
-
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_superstep_counts_engine_level(self, random_graph, workers):
-        """Direct engine runs: n_supersteps (logical) identical to
-        bsp-batched at every worker count, shm transport on."""
-        seeds = np.asarray(component_seeds(random_graph, 5, seed=57))
-        part = block_partition(random_graph, 8)
-
-        def run(engine):
-            prog = VoronoiProgram(part)
-            try:
-                stats = engine.run_phase(
-                    "Voronoi Cell", prog, list(prog.initial_messages(seeds))
-                )
-            finally:
-                engine.close()
-            return prog, stats
-
-        ref_engine = BSPBatchedEngine(part)
-        ref_prog, ref_stats = run(ref_engine)
-        mp_engine = BSPMultiprocessEngine(part, workers=workers)
-        mp_prog, mp_stats = run(mp_engine)
-        assert np.array_equal(ref_prog.src, mp_prog.src)
-        assert np.array_equal(ref_prog.dist, mp_prog.dist)
-        assert_counts_identical(ref_stats, mp_stats, ref_engine, mp_engine)
-
-
-@needs_fork
-@needs_shm
-class TestTransportParity:
-    """shm rings vs pickled pipes: same bytes, same everything."""
-
-    def test_bit_identity_across_transports(self, random_graph):
-        seeds = component_seeds(random_graph, 5, seed=58)
-        shm = solve_with(
-            random_graph, seeds, "bsp-mp", n_ranks=8, workers=2,
-            shm_transport=True,
-        )
-        pickled = solve_with(
-            random_graph, seeds, "bsp-mp", n_ranks=8, workers=2,
-            shm_transport=False,
-        )
-        assert np.array_equal(shm.edges, pickled.edges)
-        assert shm.total_distance == pickled.total_distance
-        for p_s, p_p in zip(shm.phases, pickled.phases):
-            for attr in COUNTERS:
-                assert getattr(p_s, attr) == getattr(p_p, attr), (
-                    p_s.name,
-                    attr,
-                )
-        assert shm.provenance["transport"] == "shm"
-        assert pickled.provenance["transport"] == "pickle"
-        # coalescing provenance (a *physical* grouping record) is the
-        # only other key allowed to differ between the two runs
-        same_keys = set(shm.provenance) ^ set(pickled.provenance)
-        assert same_keys <= {"coalesced_supersteps", "transport"}
-
-
-@needs_fork
-class TestCoalescingConformance:
-    """Grouped supersteps change barriers, never logical counters."""
-
-    def test_logical_counters_invariant(self):
-        # a long chain drives many tiny supersteps: coalescing engages
-        graph = grid_graph(1, 48)
-        seeds = [0, 47]
-        grouped = solve_with(
-            graph, seeds, "bsp-mp", n_ranks=6, workers=2,
-            coalesce_threshold=4096, coalesce_max=8,
-        )
-        barriered = solve_with(
-            graph, seeds, "bsp-mp", n_ranks=6, workers=2, coalesce_max=1,
-        )
-        batched = solve_with(graph, seeds, "bsp-batched", n_ranks=6)
-        assert np.array_equal(grouped.edges, barriered.edges)
-        assert np.array_equal(grouped.edges, batched.edges)
-        for p_g, p_b, p_ref in zip(
-            grouped.phases, barriered.phases, batched.phases
-        ):
-            for attr in COUNTERS:
-                assert (
-                    getattr(p_g, attr)
-                    == getattr(p_b, attr)
-                    == getattr(p_ref, attr)
-                ), (p_g.name, attr)
-        assert grouped.provenance["coalesced_supersteps"] > 0
-        assert "coalesced_supersteps" not in barriered.provenance
-
-    def test_coalescing_preserves_n_supersteps(self):
-        """Engine-level: the logical superstep count is identical with
-        grouping on and off (provenance records grouping separately)."""
-        graph = grid_graph(1, 48)
-        part = block_partition(graph, 6)
-        seeds = np.asarray([0, 47])
-        counts = {}
-        for label, kwargs in {
-            "grouped": dict(coalesce_threshold=4096, coalesce_max=8),
-            "one-per-barrier": dict(coalesce_max=1),
-        }.items():
-            engine = BSPMultiprocessEngine(part, workers=2, **kwargs)
-            prog = VoronoiProgram(part)
-            try:
-                engine.run_phase(
-                    "Voronoi Cell", prog, list(prog.initial_messages(seeds))
-                )
-            finally:
-                engine.close()
-            counts[label] = engine.n_supersteps
-            if label == "grouped":
-                assert engine.coalesced_supersteps > 0
-            else:
-                assert engine.coalesced_supersteps == 0
-        assert counts["grouped"] == counts["one-per-barrier"]

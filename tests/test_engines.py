@@ -9,9 +9,7 @@ local/remote message counts, visit counts and superstep counts must
 match *exactly*; the order-independent Steiner-tree-edge walk phase must
 match in counts across **all** engines.  Property tests drive the
 engines over random partitioned graphs — block and hash partitions,
-with and without delegates — and pin all of it down.  The multiprocess
-``bsp-mp`` member of the BSP family has its own parity suite in
-``tests/test_engine_mp.py``.
+with and without delegates — and pin all of it down.
 """
 
 from __future__ import annotations
@@ -256,7 +254,7 @@ class TestRegistry:
     def test_default_listed_first(self):
         names = available_engines()
         assert names[0] == DEFAULT_ENGINE == "async-heap"
-        assert {"bsp", "bsp-batched", "bsp-mp"} <= set(names)
+        assert {"bsp", "bsp-batched", "bsp-native"} <= set(names)
         # deterministic iteration order (the reproducible-bench clause):
         # default first, everything else alphabetical
         assert names[1:] == sorted(names[1:])

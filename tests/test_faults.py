@@ -1,20 +1,13 @@
 """The chaos suite: deterministic fault injection end to end.
 
 Everything here runs a *scripted* failure (:class:`repro.faults.FaultPlan`)
-against the robustness machinery of PR 8 and checks the documented
+against the serve robustness machinery and checks the documented
 contracts (``docs/robustness.md``):
 
-* ``bsp-mp`` recovery preserves parity — kill a worker at **every**
-  superstep in turn and the tree, converged arrays and every BSP
-  counter stay bit-identical to the fault-free run;
-* hung workers trip the heartbeat and recover the same way;
-* a spent restart budget escalates to
-  :class:`~repro.errors.WorkerCrashError` (the transient class the
-  serve layer retries) with provenance attached;
 * serve answers expired deadlines with a structured ``timeout`` error
-  (never hangs), sheds over-queue load with ``retry_after_ms``, retries
-  only worker-crash failures, drains gracefully, and survives clients
-  whose connections drop mid-response;
+  (never hangs), sheds over-queue load with ``retry_after_ms``, drains
+  gracefully, and survives clients whose connections drop
+  mid-response;
 * a corrupt disk-cache entry is quarantined (``.corrupt``), counted,
   and served as a plain miss.
 
@@ -25,7 +18,6 @@ Marked ``chaos``: the CI chaos job runs exactly this file with
 from __future__ import annotations
 
 import json
-import multiprocessing
 import socket
 import threading
 import time
@@ -34,14 +26,9 @@ import numpy as np
 import pytest
 
 from repro.core.config import SolverConfig
-from repro.core.solver import DistributedSteinerSolver
-from repro.core.voronoi_visitor import VoronoiProgram
-from repro.errors import WorkerCrashError
 from repro.faults import ENV_VAR, FaultAction, FaultPlan, env_plan
 from repro.graph.generators import grid_graph
 from repro.graph.weights import assign_uniform_weights
-from repro.runtime.engine_mp import BSPMultiprocessEngine, fork_available
-from repro.runtime.partition import block_partition
 from repro.serve import (
     QueueFull,
     RequestTimeout,
@@ -51,88 +38,38 @@ from repro.serve import (
     make_tcp_server,
 )
 from repro.serve.cache import CacheStats
-from tests.conftest import component_seeds, make_connected_graph
 
 pytestmark = pytest.mark.chaos
-
-needs_fork = pytest.mark.skipif(
-    not fork_available(), reason="platform lacks the fork start method"
-)
-
-#: the full per-phase accounting surface the parity contract covers
-_COUNTERS = (
-    "n_visits",
-    "n_messages_local",
-    "n_messages_remote",
-    "bytes_sent",
-    "peak_queue_total",
-)
-
-
-def stat_tuple(stats):
-    return tuple(getattr(stats, attr) for attr in _COUNTERS) + (
-        stats.sim_time,
-        tuple(stats.busy_time),
-    )
-
-
-def run_voronoi(engine, partition, seeds):
-    prog = VoronoiProgram(partition)
-    try:
-        stats = engine.run_phase(
-            "Voronoi Cell", prog, list(prog.initial_messages(seeds))
-        )
-    finally:
-        engine.close()
-    return prog, stats
 
 
 # --------------------------------------------------------------------- #
 # the plan itself
 # --------------------------------------------------------------------- #
 class TestFaultPlan:
-    def test_seeded_is_deterministic(self):
-        a = FaultPlan.seeded(42, n_faults=5, kinds=("kill_worker", "delay_worker"))
-        b = FaultPlan.seeded(42, n_faults=5, kinds=("kill_worker", "delay_worker"))
-        assert a.actions == b.actions
-        assert FaultPlan.seeded(43).actions != a.actions
-
     def test_actions_fire_once_and_reset(self):
-        plan = FaultPlan.kill(worker=1, superstep=3)
-        assert len(plan.take("kill_worker", superstep=3, worker=1)) == 1
-        assert plan.take("kill_worker", superstep=3, worker=1) == []
+        plan = FaultPlan([FaultAction("drop_connection")])
+        assert plan.take("corrupt_cache") == []
+        assert len(plan.take("drop_connection")) == 1
+        assert plan.take("drop_connection") == []
         assert plan.pending() == 0
-        assert [a.kind for a in plan.fired()] == ["kill_worker"]
+        assert [a.kind for a in plan.fired()] == ["drop_connection"]
         plan.reset()
         assert plan.pending() == 1
 
-    def test_wildcard_and_filter_semantics(self):
-        plan = FaultPlan([FaultAction("kill_worker")])  # matches anywhere
-        assert plan.take("kill_worker", phase="x", superstep=9, worker=5)
-        plan = FaultPlan.kill(worker=0, superstep=2, phase="Voronoi Cell")
-        assert plan.take("kill_worker", phase="Tree Edges", superstep=2) == []
-        assert plan.take("kill_worker", phase="Voronoi Cell", superstep=2)
-
     def test_json_round_trip(self):
         plan = FaultPlan(
-            [
-                FaultAction("kill_worker", worker=1, superstep=4),
-                FaultAction("delay_worker", worker=0, superstep=2, delay_s=0.5),
-                FaultAction("corrupt_cache"),
-            ]
+            [FaultAction("corrupt_cache"), FaultAction("drop_connection")]
         )
         assert FaultPlan.from_json(plan.to_json()).actions == plan.actions
 
     def test_validation(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
             FaultAction("explode")
-        with pytest.raises(ValueError, match="delay_s"):
-            FaultAction("delay_worker", delay_s=-1.0)
         with pytest.raises(ValueError, match="list"):
             FaultPlan.from_json("42")
 
     def test_env_plan_parsed_once_and_shared(self, monkeypatch, tmp_path):
-        text = FaultPlan.kill(worker=0, superstep=2).to_json()
+        text = FaultPlan([FaultAction("corrupt_cache")]).to_json()
         monkeypatch.setenv(ENV_VAR, text)
         first = env_plan()
         assert first is env_plan()  # same instance: shared consumption
@@ -153,291 +90,7 @@ class TestFaultPlan:
 
 
 # --------------------------------------------------------------------- #
-# bsp-mp: recovery preserves parity
-# --------------------------------------------------------------------- #
-@needs_fork
-class TestKillRecoveryParity:
-    def test_kill_at_every_superstep_bit_identical(self):
-        """The acceptance anchor: kill each worker at each superstep
-        index in turn; every run recovers and reproduces the fault-free
-        converged arrays AND every BSP counter bit-identically."""
-        graph = make_connected_graph(30, 80, seed=11)
-        seeds = np.asarray(component_seeds(graph, 4, seed=5))
-        part = block_partition(graph, 6)
-        ref_engine = BSPMultiprocessEngine(part, workers=2)
-        ref_prog, ref_stats = run_voronoi(ref_engine, part, seeds)
-        n_steps = ref_engine.n_supersteps
-        assert n_steps >= 2
-
-        for worker in (0, 1):
-            for superstep in range(1, n_steps + 1):
-                engine = BSPMultiprocessEngine(
-                    part,
-                    workers=2,
-                    checkpoint_interval=3,
-                    fault_plan=FaultPlan.kill(worker=worker, superstep=superstep),
-                )
-                prog, stats = run_voronoi(engine, part, seeds)
-                label = f"kill worker {worker} @ superstep {superstep}"
-                assert engine.restarts == 1, label
-                assert engine.replayed_supersteps >= 1, label
-                assert engine.recovery_wall_s > 0, label
-                assert np.array_equal(ref_prog.src, prog.src), label
-                assert np.array_equal(ref_prog.dist, prog.dist), label
-                assert stat_tuple(stats) == stat_tuple(ref_stats), label
-
-    def test_replay_bounded_by_checkpoint_interval(self):
-        """Recovery re-drives at most ``checkpoint_interval`` supersteps
-        (the logged tail plus the current one)."""
-        graph = make_connected_graph(30, 80, seed=11)
-        seeds = np.asarray(component_seeds(graph, 4, seed=5))
-        part = block_partition(graph, 6)
-        engine = BSPMultiprocessEngine(
-            part,
-            workers=2,
-            checkpoint_interval=2,
-            fault_plan=FaultPlan.kill(worker=0, superstep=5),
-        )
-        run_voronoi(engine, part, seeds)
-        assert 1 <= engine.replayed_supersteps <= 2
-
-    def test_double_kill_recovers_within_budget(self):
-        graph = make_connected_graph(30, 80, seed=11)
-        seeds = np.asarray(component_seeds(graph, 4, seed=5))
-        part = block_partition(graph, 6)
-        ref_prog, ref_stats = run_voronoi(
-            BSPMultiprocessEngine(part, workers=2), part, seeds
-        )
-        plan = FaultPlan(
-            [
-                FaultAction("kill_worker", worker=1, superstep=2),
-                FaultAction("kill_worker", worker=1, superstep=4),
-            ]
-        )
-        engine = BSPMultiprocessEngine(
-            part, workers=2, checkpoint_interval=3, max_restarts=2, fault_plan=plan
-        )
-        prog, stats = run_voronoi(engine, part, seeds)
-        assert engine.restarts == 2
-        assert np.array_equal(ref_prog.dist, prog.dist)
-        assert stat_tuple(stats) == stat_tuple(ref_stats)
-
-    def test_hung_worker_trips_heartbeat_and_recovers(self):
-        graph = make_connected_graph(30, 80, seed=11)
-        seeds = np.asarray(component_seeds(graph, 4, seed=5))
-        part = block_partition(graph, 6)
-        ref_prog, ref_stats = run_voronoi(
-            BSPMultiprocessEngine(part, workers=2), part, seeds
-        )
-        plan = FaultPlan(
-            [FaultAction("delay_worker", worker=0, superstep=2, delay_s=5.0)]
-        )
-        engine = BSPMultiprocessEngine(
-            part, workers=2, worker_timeout_s=0.3, fault_plan=plan
-        )
-        prog, stats = run_voronoi(engine, part, seeds)
-        assert engine.restarts == 1
-        assert np.array_equal(ref_prog.dist, prog.dist)
-        assert stat_tuple(stats) == stat_tuple(ref_stats)
-
-    def test_spent_budget_escalates_with_provenance(self):
-        graph = make_connected_graph(30, 80, seed=11)
-        seeds = np.asarray(component_seeds(graph, 4, seed=5))
-        part = block_partition(graph, 6)
-        engine = BSPMultiprocessEngine(
-            part,
-            workers=2,
-            max_restarts=0,
-            fault_plan=FaultPlan.kill(worker=0, superstep=2),
-        )
-        with pytest.raises(WorkerCrashError, match="restart budget") as excinfo:
-            run_voronoi(engine, part, seeds)
-        assert excinfo.value.exitcode == 17  # the injected-crash marker
-        assert excinfo.value.restarts == 0
-        assert not any(
-            p.name.startswith("bsp-mp-") for p in multiprocessing.active_children()
-        )
-
-    def test_solver_tree_identical_with_recovery_provenance(self):
-        """Full solve through the public config surface: the tree is
-        bit-identical and ``provenance["fault_recovery"]`` records the
-        restart."""
-        graph = make_connected_graph(30, 80, seed=11)
-        seeds = component_seeds(graph, 4, seed=9)
-        base = SolverConfig(n_ranks=6, engine="bsp-mp", workers=2)
-        ref = DistributedSteinerSolver(graph, base).solve(seeds)
-        assert "fault_recovery" not in ref.provenance
-        faulty = SolverConfig(
-            n_ranks=6,
-            engine="bsp-mp",
-            workers=2,
-            checkpoint_interval=2,
-            fault_plan=FaultPlan.kill(worker=1, superstep=2),
-        )
-        res = DistributedSteinerSolver(graph, faulty).solve(seeds)
-        assert np.array_equal(ref.edges, res.edges)
-        assert ref.total_distance == res.total_distance
-        for p_ref, p_res in zip(ref.phases, res.phases):
-            assert stat_tuple(p_ref) == stat_tuple(p_res), p_ref.name
-        recovery = res.provenance["fault_recovery"]
-        assert recovery["restarts"] == 1
-        assert recovery["replayed_supersteps"] >= 1
-        assert recovery["recovery_wall_s"] > 0
-
-
-# --------------------------------------------------------------------- #
-# bsp-mp: shm transport and coalesced groups under fire
-# --------------------------------------------------------------------- #
-@needs_fork
-class TestShmAndCoalescingChaos:
-    """PR-10 extensions of the recovery-preserves-parity contract: the
-    kill-at-every-superstep sweep holds on the shared-memory data plane
-    (descriptors into respawned rings, union checkpoint restore) and
-    across coalesced superstep groups (a crash mid-group truncates the
-    group at the fault and replays to identical logical counters)."""
-
-    GROUPED = dict(coalesce_threshold=4096, coalesce_max=4)
-
-    def _chain(self):
-        # a long path: tiny inboxes every superstep, so coalescing is
-        # engaged for essentially the whole phase
-        graph = grid_graph(1, 28)
-        part = block_partition(graph, 6)
-        seeds = np.asarray([0, 27])
-        return part, seeds
-
-    @pytest.mark.parametrize("shm", [True, False], ids=["shm", "pickle"])
-    def test_kill_sweep_grouped_supersteps(self, shm):
-        """Kill each worker at every superstep of a heavily coalesced
-        run, on both transports: bit-identical arrays and counters."""
-        from repro.runtime.shm_transport import SHM_AVAILABLE
-
-        if shm and not SHM_AVAILABLE:
-            pytest.skip("multiprocessing.shared_memory unavailable")
-        part, seeds = self._chain()
-        ref_engine = BSPMultiprocessEngine(
-            part, workers=2, shm_transport=shm, **self.GROUPED
-        )
-        ref_prog, ref_stats = run_voronoi(ref_engine, part, seeds)
-        n_steps = ref_engine.n_supersteps
-        assert ref_engine.coalesced_supersteps > 0  # groups actually ran
-
-        for worker in (0, 1):
-            for superstep in range(1, n_steps + 1):
-                engine = BSPMultiprocessEngine(
-                    part,
-                    workers=2,
-                    shm_transport=shm,
-                    checkpoint_interval=3,
-                    fault_plan=FaultPlan.kill(worker=worker, superstep=superstep),
-                    **self.GROUPED,
-                )
-                prog, stats = run_voronoi(engine, part, seeds)
-                label = f"kill w{worker} @ s{superstep} shm={shm}"
-                assert engine.restarts == 1, label
-                assert engine.n_supersteps == n_steps, label
-                assert np.array_equal(ref_prog.src, prog.src), label
-                assert np.array_equal(ref_prog.dist, prog.dist), label
-                assert stat_tuple(stats) == stat_tuple(ref_stats), label
-
-    def test_crash_mid_group_replays_to_identical_counters(self):
-        """The coalescing × checkpoint interaction: with groups of up to
-        8 supersteps and a checkpoint every 8, a kill landing mid-group
-        truncates the group at the fault, recovers from the checkpoint
-        and replays — logical counters and provenance superstep count
-        stay bit-identical to the fault-free grouped run."""
-        part, seeds = self._chain()
-        ref_engine = BSPMultiprocessEngine(
-            part, workers=2, coalesce_threshold=4096, coalesce_max=8
-        )
-        ref_prog, ref_stats = run_voronoi(ref_engine, part, seeds)
-        engine = BSPMultiprocessEngine(
-            part,
-            workers=2,
-            coalesce_threshold=4096,
-            coalesce_max=8,
-            checkpoint_interval=8,
-            fault_plan=FaultPlan.kill(worker=1, superstep=5),
-        )
-        prog, stats = run_voronoi(engine, part, seeds)
-        assert engine.restarts == 1
-        assert 1 <= engine.replayed_supersteps <= 8
-        assert engine.coalesced_supersteps > 0
-        assert engine.n_supersteps == ref_engine.n_supersteps
-        assert np.array_equal(ref_prog.dist, prog.dist)
-        assert stat_tuple(stats) == stat_tuple(ref_stats)
-
-    def test_groups_never_straddle_checkpoints(self):
-        """The replay bound survives coalescing: a group is capped at
-        the next checkpoint boundary, so recovery still re-drives at
-        most ``checkpoint_interval`` supersteps."""
-        part, seeds = self._chain()
-        engine = BSPMultiprocessEngine(
-            part,
-            workers=2,
-            coalesce_threshold=4096,
-            coalesce_max=8,
-            checkpoint_interval=2,
-            fault_plan=FaultPlan.kill(worker=0, superstep=5),
-        )
-        run_voronoi(engine, part, seeds)
-        assert engine.restarts == 1
-        assert 1 <= engine.replayed_supersteps <= 2
-
-    def test_hung_worker_mid_group_recovers(self):
-        """A delay fault inside a would-be group trips the heartbeat;
-        the group is truncated at the fault and recovery preserves
-        parity, same as the barriered path."""
-        part, seeds = self._chain()
-        ref_prog, ref_stats = run_voronoi(
-            BSPMultiprocessEngine(part, workers=2, **self.GROUPED), part, seeds
-        )
-        plan = FaultPlan(
-            [FaultAction("delay_worker", worker=0, superstep=3, delay_s=5.0)]
-        )
-        engine = BSPMultiprocessEngine(
-            part,
-            workers=2,
-            worker_timeout_s=0.3,
-            fault_plan=plan,
-            **self.GROUPED,
-        )
-        prog, stats = run_voronoi(engine, part, seeds)
-        assert engine.restarts == 1
-        assert np.array_equal(ref_prog.dist, prog.dist)
-        assert stat_tuple(stats) == stat_tuple(ref_stats)
-
-    def test_solver_provenance_with_coalesced_recovery(self):
-        """Full-solve surface: recovery inside coalesced groups records
-        both ``fault_recovery`` and ``coalesced_supersteps`` while the
-        tree stays bit-identical."""
-        graph = grid_graph(1, 28)
-        seeds = [0, 27]
-        base = SolverConfig(
-            n_ranks=6, engine="bsp-mp", workers=2,
-            coalesce_threshold=4096, coalesce_max=8,
-        )
-        ref = DistributedSteinerSolver(graph, base).solve(seeds)
-        assert ref.provenance["coalesced_supersteps"] > 0
-        faulty = SolverConfig(
-            n_ranks=6,
-            engine="bsp-mp",
-            workers=2,
-            coalesce_threshold=4096,
-            coalesce_max=8,
-            checkpoint_interval=4,
-            fault_plan=FaultPlan.kill(worker=1, superstep=3),
-        )
-        res = DistributedSteinerSolver(graph, faulty).solve(seeds)
-        assert np.array_equal(ref.edges, res.edges)
-        assert res.provenance["fault_recovery"]["restarts"] == 1
-        assert res.provenance["coalesced_supersteps"] > 0
-        for p_ref, p_res in zip(ref.phases, res.phases):
-            assert stat_tuple(p_ref) == stat_tuple(p_res), p_ref.name
-
-
-# --------------------------------------------------------------------- #
-# serve: deadlines, shedding, retry, drain, dropped clients
+# serve: deadlines, shedding, drain, dropped clients
 # --------------------------------------------------------------------- #
 class _BlockingCache:
     """Duck-typed cache whose lookups block on a gate until released —
@@ -633,74 +286,6 @@ class TestShedding:
             p.wait(60)
         svc.close()
         assert svc.counters.shed == 0
-
-
-class _FlakySolver:
-    """Wraps a real solver; the first ``failures`` solves raise the
-    transient worker-crash class."""
-
-    def __init__(self, real, failures, error_cls=WorkerCrashError):
-        self.real = real
-        self.failures = failures
-        self.error_cls = error_cls
-        self.attempts = 0
-
-    def solution_key(self, seeds):
-        return self.real.solution_key(seeds)
-
-    def solve(self, seeds, diagram=None):
-        self.attempts += 1
-        if self.attempts <= self.failures:
-            if self.error_cls is WorkerCrashError:
-                raise WorkerCrashError(
-                    "injected transient crash", restarts=3, exitcode=17
-                )
-            raise self.error_cls("injected deterministic failure")
-        return self.real.solve(seeds, diagram=diagram)
-
-
-class TestTransientRetry:
-    def _flaky_service(self, graph, failures, error_cls=WorkerCrashError):
-        svc = make_service(
-            graph, batch_window_s=0, transient_retries=2, retry_backoff_s=0
-        )
-        session = svc._sessions["g"]
-        real_solver_for = session.solver_for
-        flaky: dict[tuple, _FlakySolver] = {}
-
-        def solver_for(config):
-            key = config.fingerprint()
-            if key not in flaky:
-                flaky[key] = _FlakySolver(
-                    real_solver_for(config), failures, error_cls
-                )
-            return flaky[key]
-
-        session.solver_for = solver_for
-        return svc, flaky
-
-    def test_worker_crash_retried_until_success(self, graph):
-        svc, flaky = self._flaky_service(graph, failures=2)
-        res = svc.solve("g", [0, 9, 90])
-        svc.close()
-        assert res.n_edges >= 2
-        assert svc.counters.retries == 2
-        assert next(iter(flaky.values())).attempts == 3
-
-    def test_worker_crash_budget_exhausted_propagates(self, graph):
-        svc, _ = self._flaky_service(graph, failures=10)
-        with pytest.raises(WorkerCrashError):
-            svc.solve("g", [0, 9, 90])
-        svc.close()
-        assert svc.counters.retries == 2  # transient_retries, then give up
-
-    def test_deterministic_errors_never_retried(self, graph):
-        svc, flaky = self._flaky_service(graph, failures=10, error_cls=ValueError)
-        with pytest.raises(ValueError, match="deterministic"):
-            svc.solve("g", [0, 9, 90])
-        svc.close()
-        assert svc.counters.retries == 0
-        assert next(iter(flaky.values())).attempts == 1
 
 
 class TestDrainAndHealth:

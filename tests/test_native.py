@@ -324,11 +324,8 @@ class TestBSPNativeParity:
     def test_registry_constructs_native_engine(self, random_graph):
         part = block_partition(random_graph, 4)
         engine = make_engine("bsp-native", part)
-        try:
-            assert isinstance(engine, BSPNativeEngine)
-            assert isinstance(engine, BSPBatchedEngine)  # the fallback IS it
-        finally:
-            engine.close()
+        assert isinstance(engine, BSPNativeEngine)
+        assert isinstance(engine, BSPBatchedEngine)  # the fallback IS it
 
     def test_solver_tree_identical(self, random_graph):
         from repro.core.config import SolverConfig
