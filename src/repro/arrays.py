@@ -1,0 +1,39 @@
+"""Sort-based set primitives on 1-D integer arrays.
+
+NumPy 2.x answers a plain ``np.unique`` on an integer array from a hash
+set, which is several times slower than one ``np.sort`` plus an
+adjacent-compare mask on the arrays the solve path deduplicates (halo
+keys, bucket frontiers, walk targets).  These helpers are that sort,
+written once.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+__all__ = ["run_starts", "sorted_unique"]
+
+
+def run_starts(sorted_values: np.ndarray) -> np.ndarray:
+    """Boolean mask, true where a run of equal values begins.
+
+    ``sorted_values`` must be grouped (equal values adjacent), e.g. by a
+    sort; the mask then marks the first element of each group.
+
+    >>> run_starts(np.array([1, 1, 2, 5, 5, 5]))
+    array([ True, False,  True,  True, False, False])
+    """
+    first = np.ones(sorted_values.size, dtype=bool)
+    np.not_equal(sorted_values[1:], sorted_values[:-1], out=first[1:])
+    return first
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct values of ``values``, ascending (``np.unique``'s
+    output), by one sort.
+
+    >>> sorted_unique(np.array([5, 1, 5, 2, 1]))
+    array([1, 2, 5])
+    """
+    out = np.sort(values)
+    return out[run_starts(out)]

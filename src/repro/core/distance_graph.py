@@ -24,7 +24,11 @@ the distributed cost separately:
 
 Tie-breaking: among equal-distance cross-cell edges bridging the same
 cell pair, the lexicographically smallest ``(u, v)`` wins — the effect of
-the paper's second ``Allreduce(MPI_MIN)`` over source-vertex ids.
+the paper's second ``Allreduce(MPI_MIN)`` over source-vertex ids.  The
+build mirrors those two reductions: one sort groups the candidates by
+cell pair, a segmented minimum gives ``d'``, and a second segmented
+minimum over the packed ``u * n + v`` of the rows tied at ``d'`` picks
+the bridge.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import numpy as np
 if TYPE_CHECKING:
     from repro.graph.csr import CSRGraph
 
+from repro.arrays import run_starts, sorted_unique
 from repro.runtime.cost_model import MachineModel
 from repro.runtime.partition import PartitionedGraph
 from repro.shortest_paths.voronoi import NO_VERTEX
@@ -44,6 +49,7 @@ from repro.shortest_paths.voronoi import NO_VERTEX
 __all__ = ["DistanceGraph", "build_distance_graph", "local_min_edge_costs"]
 
 _STATE_MSG_BYTES = 24  # (vertex, src, dist) halo-exchange record
+_NO_BRIDGE = np.iinfo(np.int64).max  # packed (u, v) of a row that lost on d'
 
 
 @dataclass
@@ -68,11 +74,27 @@ class DistanceGraph:
         return int(self.cell_s.size)
 
     def seed_indices(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(si, ti)`` rows as indices into :attr:`seeds` (for MST)."""
-        lookup = {int(s): i for i, s in enumerate(self.seeds)}
-        si = np.asarray([lookup[int(s)] for s in self.cell_s], dtype=np.int64)
-        ti = np.asarray([lookup[int(t)] for t in self.cell_t], dtype=np.int64)
-        return si, ti
+        """``(si, ti)`` rows as indices into :attr:`seeds` (for MST).
+
+        Raises :class:`KeyError` naming the first cell id that is not a
+        seed.  :attr:`seeds` need not be sorted; a repeated seed id maps
+        to its last position.
+        """
+        seeds = np.asarray(self.seeds, dtype=np.int64)
+        order = None
+        if not (seeds[1:] > seeds[:-1]).all():
+            order = np.argsort(seeds, kind="stable")
+            seeds = seeds[order]
+
+        def index(cells: np.ndarray) -> np.ndarray:
+            pos = np.searchsorted(seeds, cells, side="right") - 1
+            found = pos >= 0
+            found[found] = seeds[pos[found]] == cells[found]
+            if not found.all():
+                raise KeyError(int(cells[~found][0]))
+            return pos if order is None else order[pos]
+
+        return index(self.cell_s), index(self.cell_t)
 
 
 def build_distance_graph(
@@ -83,39 +105,36 @@ def build_distance_graph(
 ) -> DistanceGraph:
     """Vectorised global construction of ``G'1`` / ``EN``.
 
-    One lexsort over the cross-cell edge candidates groups them by cell
-    pair and places the winner — smallest ``(d', u, v)`` — first in each
-    group.
+    One argsort on the cell-pair key ``s * n + t`` groups the cross-cell
+    edge candidates; per group, ``d'`` is the minimum candidate distance
+    and the bridge is the smallest ``(u, v)`` among the candidates at
+    that distance.  Rows come out in cell-pair key order.
     """
     eu, ev, ew = graph.edge_array()
-    ok = (src[eu] != NO_VERTEX) & (src[ev] != NO_VERTEX)
-    cross = ok & (src[eu] != src[ev])
-    eu, ev, ew = eu[cross], ev[cross], ew[cross]
+    su, sv = src[eu], src[ev]
+    cross = (su != sv) & (su != NO_VERTEX) & (sv != NO_VERTEX)
+    eu, ev, ew, su, sv = eu[cross], ev[cross], ew[cross], su[cross], sv[cross]
     if eu.size == 0:
         empty = np.zeros(0, dtype=np.int64)
         return DistanceGraph(seeds, empty, empty, empty, empty, empty)
 
-    s_arr = np.minimum(src[eu], src[ev])
-    t_arr = np.maximum(src[eu], src[ev])
+    n = np.int64(graph.n_vertices)
     d_arr = dist[eu] + ew + dist[ev]
     # orient the bridge so u lies in the smaller-id cell
-    swap = src[eu] != s_arr
-    bu = np.where(swap, ev, eu)
-    bv = np.where(swap, eu, ev)
+    swap = su > sv
+    key = np.where(swap, sv, su) * n + np.where(swap, su, sv)
+    packed = np.where(swap, ev, eu) * n + np.where(swap, eu, ev)
 
-    key = s_arr * np.int64(graph.n_vertices) + t_arr
-    order = np.lexsort((bv, bu, d_arr, key))
-    key, s_arr, t_arr = key[order], s_arr[order], t_arr[order]
-    bu, bv, d_arr = bu[order], bv[order], d_arr[order]
-    first = np.ones(key.size, dtype=bool)
-    first[1:] = key[1:] != key[:-1]
+    order = np.argsort(key)
+    key, d_arr, packed = key[order], d_arr[order], packed[order]
+    starts = np.flatnonzero(run_starts(key))
+    dprime = np.minimum.reduceat(d_arr, starts)
+    tied = d_arr == np.repeat(dprime, np.diff(starts, append=key.size))
+    bridge = np.minimum.reduceat(np.where(tied, packed, _NO_BRIDGE), starts)
+    cell_s, cell_t = np.divmod(key[starts], n)
+    u, v = np.divmod(bridge, n)
     return DistanceGraph(
-        seeds=seeds,
-        cell_s=s_arr[first],
-        cell_t=t_arr[first],
-        u=bu[first],
-        v=bv[first],
-        dprime=d_arr[first],
+        seeds=seeds, cell_s=cell_s, cell_t=cell_t, u=u, v=v, dprime=dprime
     )
 
 
@@ -144,13 +163,13 @@ def local_min_edge_costs(
             u[remote_u] * np.int64(partition.n_ranks) + arc_rank[remote_u],
         ]
     )
-    n_halo = int(np.unique(halo_keys).size) if halo_keys.size else 0
-
+    halo = sorted_unique(halo_keys)
+    n_halo = int(halo.size)
+    # key % n_ranks is the holding rank: one receive per distinct record
+    recv_per_rank = np.bincount(
+        halo % partition.n_ranks, minlength=partition.n_ranks
+    )
     arcs_per_rank = partition.local_arc_count()
-    recv_per_rank = np.zeros(partition.n_ranks, dtype=np.int64)
-    if halo_keys.size:
-        dest = np.unique(halo_keys) % partition.n_ranks
-        recv_per_rank = np.bincount(dest, minlength=partition.n_ranks)
     per_rank = (
         arcs_per_rank * machine.t_edge_scan
         + recv_per_rank * machine.t_visit

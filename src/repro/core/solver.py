@@ -337,18 +337,16 @@ class DistributedSteinerSolver:
         phases.append(te_stats)
 
         # ---- assemble the tree ---------------------------------------- #
-        cross_w = dg.dprime[active] - dist[dg.u[active]] - dist[dg.v[active]]
-        edge_rows = {
-            (int(min(u, v)), int(max(u, v))): int(w)
-            for u, v, w in zip(dg.u[active], dg.v[active], cross_w)
-        }
-        for u, v, w in tree_prog.edges:
-            edge_rows[(u, v)] = w
-        edges = np.asarray(
-            [(u, v, w) for (u, v), w in sorted(edge_rows.items())],
-            dtype=np.int64,
-        ).reshape(-1, 3)
-        total = int(edges[:, 2].sum()) if edges.size else 0
+        # No (u, v) row repeats: bridge rows join two different cells,
+        # walked rows stay inside one, and the collected guard walks each
+        # vertex at most once along strictly decreasing dist.
+        bu, bv = dg.u[active], dg.v[active]
+        walk_lo, walk_hi, walk_w = tree_prog.edge_arrays()
+        lo = np.concatenate([np.minimum(bu, bv), walk_lo])
+        hi = np.concatenate([np.maximum(bu, bv), walk_hi])
+        w = np.concatenate([dg.dprime[active] - dist[bu] - dist[bv], walk_w])
+        edges = np.stack([lo, hi, w], axis=1)[np.lexsort((hi, lo))]
+        total = int(w.sum())
 
         # chunked collectives bound the pairwise buffer that must be
         # resident at once (§V-F); single-shot needs the full C(k, 2)

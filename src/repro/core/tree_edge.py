@@ -22,6 +22,7 @@ from typing import Any, Callable, Iterator, Tuple
 
 import numpy as np
 
+from repro.arrays import sorted_unique
 from repro.runtime.partition import PartitionedGraph
 
 __all__ = ["TreeEdgeProgram", "walk_tree_edges"]
@@ -31,11 +32,12 @@ class TreeEdgeProgram:
     """Alg. 6 as an engine program.
 
     ``collected`` marks vertices whose hop to their predecessor has been
-    emitted; the resulting ``(u, v, w)`` triples accumulate in
-    :attr:`edges`.
+    emitted.  Each collected vertex contributes exactly one tree edge, so
+    :meth:`edge_arrays` reads the edge set off that mask once the phase
+    has run.
     """
 
-    __slots__ = ("part", "src", "pred", "dist", "collected", "edges")
+    __slots__ = ("part", "src", "pred", "dist", "collected")
 
     def __init__(
         self,
@@ -49,7 +51,14 @@ class TreeEdgeProgram:
         self.pred = pred
         self.dist = dist
         self.collected = np.zeros(partition.graph.n_vertices, dtype=bool)
-        self.edges: list[tuple[int, int, int]] = []
+
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The walked tree edges as ``(lo, hi, w)`` arrays with
+        ``lo < hi``: one row ``(pred(v), v)`` per collected vertex, in
+        vertex order."""
+        v = np.flatnonzero(self.collected)
+        p = self.pred[v]
+        return np.minimum(p, v), np.maximum(p, v), self.dist[v] - self.dist[p]
 
     def initial_messages(
         self, endpoints: np.ndarray
@@ -75,8 +84,6 @@ class TreeEdgeProgram:
             return
         self.collected[vertex] = True
         p = int(self.pred[vertex])
-        w = int(self.dist[vertex] - self.dist[p])
-        self.edges.append((min(p, vertex), max(p, vertex), w))
         if p != self.src[vertex]:
             emit(p, (p,))
 
@@ -105,18 +112,13 @@ class TreeEdgeProgram:
         pass over the targets is exactly the scalar semantics.  The
         collected set — hence the edge set — is order-independent.
         """
-        v = np.unique(targets)
+        v = sorted_unique(targets)
         live = (self.src[v] != v) & ~self.collected[v]
         v = v[live]
         if v.size == 0:
             return
         self.collected[v] = True
         p = self.pred[v]
-        w = self.dist[v] - self.dist[p]
-        lo, hi = np.minimum(p, v), np.maximum(p, v)
-        self.edges.extend(
-            (int(a), int(b), int(c)) for a, b, c in zip(lo, hi, w)
-        )
         walk = p != self.src[v]
         if walk.any():
             out = p[walk].astype(np.int64)

@@ -60,25 +60,28 @@ def bfs_levels(graph: CSRGraph, source: int) -> np.ndarray:
 def connected_components(graph: CSRGraph) -> np.ndarray:
     """Component id per vertex (ids are 0-based, ordered by first vertex).
 
-    Uses :func:`scipy.sparse.csgraph.connected_components` on the CSR
-    arrays directly — zero-copy and linear time.
+    NumPy-only min-root hooking: every round hooks, along each edge whose
+    endpoints still sit under different roots, the larger root under the
+    smaller one, then flattens the forest by pointer jumping.  Roots only
+    ever move to smaller ids, so each component ends rooted at its
+    smallest vertex, and numbering the roots in id order gives the
+    first-vertex order.
     """
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components as scipy_cc
-
     n = graph.n_vertices
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    mat = sp.csr_matrix(
-        (
-            np.ones(graph.indices.size, dtype=np.int8),
-            graph.indices,
-            graph.indptr,
-        ),
-        shape=(n, n),
-    )
-    _, labels = scipy_cc(mat, directed=False)
-    return labels.astype(np.int64)
+    root = np.arange(n, dtype=np.int64)
+    u, v, _ = graph.edge_array()
+    while u.size:
+        ru, rv = root[u], root[v]
+        split = ru != rv
+        u, v, ru, rv = u[split], v[split], ru[split], rv[split]
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    is_root = root == np.arange(n, dtype=np.int64)
+    return (np.cumsum(is_root) - 1)[root]
 
 
 def largest_component_vertices(graph: CSRGraph) -> np.ndarray:

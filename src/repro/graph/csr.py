@@ -44,7 +44,14 @@ class CSRGraph:
     vertex-centric runtime, whose visitors scan out-neighbours).
     """
 
-    __slots__ = ("indptr", "indices", "weights", "_n_vertices", "_content_hash")
+    __slots__ = (
+        "indptr",
+        "indices",
+        "weights",
+        "_n_vertices",
+        "_content_hash",
+        "_edge_array",
+    )
 
     def __init__(
         self,
@@ -73,6 +80,7 @@ class CSRGraph:
         self.weights = weights
         self._n_vertices = indptr.size - 1
         self._content_hash: str | None = None
+        self._edge_array: Tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------ #
     # construction
@@ -241,10 +249,22 @@ class CSRGraph:
 
     def edge_array(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Unique undirected edges as ``(src, dst, weight)`` with
-        ``src < dst`` — convenient for edge-centric vectorised scans."""
-        src = np.repeat(np.arange(self._n_vertices, dtype=np.int64), self.degree())
-        keep = src < self.indices
-        return src[keep], self.indices[keep], self.weights[keep]
+        ``src < dst`` — convenient for edge-centric vectorised scans.
+
+        Memoised on the instance, like :meth:`content_hash`: the arrays
+        are built once per graph object and returned read-only, so a
+        caller that wants to modify them must copy.
+        """
+        if self._edge_array is None:
+            src = np.repeat(
+                np.arange(self._n_vertices, dtype=np.int64), self.degree()
+            )
+            keep = src < self.indices
+            arrays = (src[keep], self.indices[keep], self.weights[keep])
+            for arr in arrays:
+                arr.flags.writeable = False
+            self._edge_array = arrays
+        return self._edge_array
 
     def iter_edges(self) -> Iterator[Tuple[int, int, int]]:
         """Iterate unique undirected ``(u, v, w)`` with ``u < v``."""

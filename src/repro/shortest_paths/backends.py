@@ -37,7 +37,8 @@ Registered backends
 ``scipy``
     ``scipy.sparse.csgraph``-accelerated sweep
     (:mod:`repro.shortest_paths.scipy_backend`); optional, registered
-    only when SciPy imports.
+    only when SciPy is installed.  Registration looks SciPy up without
+    importing it; the first ``scipy`` sweep pays the import.
 ``spfa`` / ``delta-python``
     The queue-based Bellman–Ford and per-edge Δ-stepping ablation
     kernels (:mod:`repro.shortest_paths.multisource`).
@@ -45,19 +46,12 @@ Registered backends
 
 from __future__ import annotations
 
+import importlib.util
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
-
-try:  # SciPy is an optional accelerator, never a hard dependency
-    import scipy.sparse.csgraph as _scipy_csgraph
-
-    _SCIPY_IMPORT_ERROR: str | None = None
-except ImportError as _exc:  # pragma: no cover - exercised only without SciPy
-    _scipy_csgraph = None
-    _SCIPY_IMPORT_ERROR = f"{type(_exc).__name__}: {_exc}"
 
 from repro.graph.csr import CSRGraph
 from repro.shortest_paths.voronoi import (
@@ -354,13 +348,16 @@ def _register_delta_numba() -> None:
 _register_delta_numba()
 
 
-if _scipy_csgraph is not None:
+_SCIPY_HELP = (
+    "scipy.sparse.csgraph compiled multi-source Dijkstra "
+    "(int64-exact fallback for astronomical weights)"
+)
 
-    @register_backend(
-        "scipy",
-        "scipy.sparse.csgraph compiled multi-source Dijkstra "
-        "(int64-exact fallback for astronomical weights)",
-    )
+# look SciPy up without importing it: the import alone would about
+# double the memory and start-up time of `import repro.api`
+if importlib.util.find_spec("scipy") is not None:
+
+    @register_backend("scipy", _SCIPY_HELP)
     def _scipy_backend(graph: CSRGraph, seeds: Sequence[int]) -> VoronoiDiagram:
         """SciPy sweep, guarded for exactness.
 
@@ -383,12 +380,9 @@ if _scipy_csgraph is not None:
 
         return compute_voronoi_cells_scipy(graph, seeds)
 
-else:  # pragma: no cover - exercised only without SciPy
+else:
     register_unavailable_backend(
-        "scipy",
-        "scipy.sparse.csgraph compiled multi-source Dijkstra "
-        "(int64-exact fallback for astronomical weights)",
-        _SCIPY_IMPORT_ERROR or "ImportError: scipy",
+        "scipy", _SCIPY_HELP, "ModuleNotFoundError: No module named 'scipy'"
     )
 
 

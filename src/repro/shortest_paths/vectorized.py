@@ -11,8 +11,10 @@ Meyer–Sanders Δ-stepping schedule with *bucket-wide* NumPy relaxations:
 * all out-arcs of the frontier are gathered in one shot (``np.repeat``
   over the CSR offsets — no per-vertex slicing);
 * the lexicographic ``(dist, owner)`` winner per target vertex is
-  selected with a single ``np.lexsort`` + first-occurrence reduction,
-  replacing the per-edge compare-and-swap.
+  selected by packing the pair into one int64 key and reducing with
+  ``np.minimum.at``, replacing the per-edge compare-and-swap;
+* the vertices settled in a bucket are deduplicated with one sort
+  (:func:`repro.arrays.sorted_unique`).
 
 Per bucket phase the Python interpreter executes O(1) statements; all
 per-edge work happens inside compiled NumPy kernels.  On the ~100K-arc
@@ -33,6 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.arrays import sorted_unique
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
 from repro.shortest_paths.voronoi import (
@@ -208,7 +211,7 @@ def compute_voronoi_cells_delta_numpy(
             pending_ids = np.nonzero(pending)[0]
 
         # heavy-edge phase: once, from the vertices that settled in b
-        settled_arr = np.unique(np.concatenate(settled)) if settled else None
+        settled_arr = sorted_unique(np.concatenate(settled)) if settled else None
         if settled_arr is not None:
             settled_arr = settled_arr[dist[settled_arr] // delta == b]
             arc_ids, tails = _out_arcs(settled_arr, indptr, degrees)

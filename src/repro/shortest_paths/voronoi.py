@@ -99,7 +99,7 @@ def _validate_seeds(graph: CSRGraph, seeds: Sequence[int]) -> np.ndarray:
     arr = np.asarray(sorted(int(s) for s in seeds), dtype=np.int64)
     if arr.size == 0:
         raise SeedError("seed set must be non-empty")
-    if np.unique(arr).size != arr.size:
+    if (arr[1:] == arr[:-1]).any():  # sorted: duplicates are adjacent
         raise SeedError("seed set contains duplicates")
     if arr[0] < 0 or arr[-1] >= graph.n_vertices:
         raise SeedError("seed vertex id out of range")

@@ -63,3 +63,37 @@ def test_traced_solve_records_engine_and_cost_model_spans():
     names = {span.name for span in recorder.spans}
     assert "runtime.tree_edge_phase" in names
     assert "distance_graph.cost_model" in names
+
+
+#: spans every warm fast-path solve must record; a per-layer metric whose
+#: span stops running after the first solve prints ``null`` in the e2e run
+WARM_SOLVE_SPANS = (
+    "seeds.validate",
+    "shortest_paths.sweep",
+    "distance_graph.build",
+    "csr.edge_array",
+    "distance_graph.cost_model",
+    "partition.arc_arrays",
+    "distance_graph.seed_indices",
+    "mst.prim",
+    "runtime.tree_edge_phase",
+)
+
+
+def test_warm_solve_records_every_per_layer_span():
+    graph = assign_uniform_weights(rmat_graph(9, 6, seed=1), (1, 100), seed=2)
+    first, second = component_seeds(graph, 8, seed=3), component_seeds(graph, 8, seed=4)
+    recorder = tracing.Recorder()
+    installed = tracing.install(recorder)
+    try:
+        with Session(
+            graph, engine="bsp-batched", voronoi_backend="delta-numpy"
+        ) as session:
+            session.solve(first)
+            warm_from = len(recorder.spans)
+            session.solve(second)
+    finally:
+        installed.uninstall()
+    names = {span.name for span in recorder.spans[warm_from:]}
+    missing = [span for span in WARM_SOLVE_SPANS if span not in names]
+    assert not missing, f"warm solve skipped {missing}"

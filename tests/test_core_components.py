@@ -139,7 +139,8 @@ class TestTreeEdges:
         prog = TreeEdgeProgram(part, vd.src, pred, vd.dist)
         engine = AsyncEngine(part, MachineModel(), "priority")
         engine.run_phase("te", prog, list(prog.initial_messages(endpoints)))
-        assert set(prog.edges) == seq_edges
+        lo, hi, w = prog.edge_arrays()
+        assert set(zip(lo.tolist(), hi.tolist(), w.tolist())) == seq_edges
 
     def test_walk_weights_are_true_edge_weights(self, random_graph):
         seeds = component_seeds(random_graph, 4, seed=8)

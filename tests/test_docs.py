@@ -121,7 +121,7 @@ class TestDoctests:
 
     @pytest.mark.parametrize(
         "module_name",
-        ["repro.runtime.engines", "repro.runtime.engine_batched"],
+        ["repro.runtime.engines", "repro.runtime.engine_batched", "repro.arrays"],
     )
     def test_runtime_module_doctests(self, module_name):
         import importlib

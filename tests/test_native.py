@@ -41,7 +41,6 @@ from repro.runtime.engine_batched import BSPBatchedEngine
 from repro.runtime.engine_native import BSPNativeEngine, supports_native
 from repro.runtime.engines import engine_availability, make_engine
 from repro.runtime.partition import block_partition, hash_partition
-from repro.runtime.queues import QueueDiscipline
 from repro.shortest_paths.backends import (
     backend_availability,
     compute_multisource,
