@@ -11,22 +11,11 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_engines.py             # full suite
     PYTHONPATH=src python benchmarks/bench_engines.py --quick     # tiny CI suite
-    PYTHONPATH=src python benchmarks/bench_engines.py --suite scale  # 1M edges
     PYTHONPATH=src python benchmarks/bench_engines.py --quick \
         --check benchmarks/BENCH_engines_baseline.json            # regression gate
 
-Suites: ``quick`` (~6K edges), ``full`` (~100K edges), ``scale`` (1M
-edges — only the vectorised/compiled engines run; the per-message
-``bsp``/``async-heap`` executors push millions of Python callbacks and
-would take hours, so the scale speedup column is relative to
-``bsp-batched``) and ``xl`` (10M edges, on-demand, no committed
-baseline).  Native (numba) kernels are compiled by an explicit
-:func:`repro.native.warmup` call before any timing loop (pinned cache
-dir, see ``repro.native``), so JIT compilation never lands inside a
-timing column.  The ``bsp-native`` engine is gated against
-``bsp-batched`` with ``--min-speedup-native`` (the CI numba job uses
-2.0 on the scale suite); without numba the entry runs as its twin and
-the gate is skipped with a note.
+Suites: ``quick`` (~6K edges) and ``full`` (~100K edges).  Every
+speedup column is relative to the per-message ``bsp`` engine.
 
 The regression gate compares the *wall-clock speedup ratio* of the
 vectorised ``bsp-batched`` engine over the per-message ``bsp`` engine
@@ -36,9 +25,9 @@ measured speedup drops below ``(1 - tolerance)`` times the baseline
 speedup (default tolerance 20%), or — with ``--min-speedup`` — below an
 absolute floor (the acceptance target is >=3x on the 100K-edge full
 suite; quick-suite graphs are too small to amortise array overhead, so
-the floor there is correspondingly lower).  Every ``--min-*`` floor
-needs ``--check``: given without it, the floor could never fail, so it
-is a usage error (exit 2) before any timing.
+the floor there is correspondingly lower).  ``--min-speedup`` needs
+``--check``: given without it, the floor could never fail, so it is a
+usage error (exit 2) before any timing.
 
 Determinism: every graph is built from fixed generator seeds, seeds are
 drawn from a fixed RNG and engines iterate in registry order (default
@@ -61,10 +50,8 @@ from repro.core.voronoi_visitor import VoronoiProgram
 from repro.graph.connectivity import largest_component_vertices
 from repro.graph.generators import erdos_renyi_graph, grid_graph, rmat_graph
 from repro.graph.weights import assign_uniform_weights
-from repro.native import native_status, warmup
 from repro.runtime.engines import (
     available_engines,
-    engine_availability,
     run_phase_with,
     verify_engines_agree,
 )
@@ -73,9 +60,6 @@ from repro.runtime.partition import block_partition
 #: the engine whose speedup is gated, and its reference
 GATED_ENGINE = "bsp-batched"
 REFERENCE_ENGINE = "bsp"
-#: the JIT-tier gate: bsp-native vs bsp-batched (skipped without numba)
-NATIVE_ENGINE = "bsp-native"
-NATIVE_REFERENCE = "bsp-batched"
 
 #: simulated world size for every run (the paper's ranks-per-node)
 N_RANKS = 16
@@ -113,45 +97,6 @@ SUITES = {
         ),
         "grid-5k-unit": (lambda: grid_graph(50, 50), 8),
     },
-    "scale": {
-        "rmat-1m-w100": (
-            lambda: assign_uniform_weights(
-                rmat_graph(17, 8, seed=1), (1, 100), seed=2
-            ),
-            50,
-        ),
-        "er-1m-w100": (
-            lambda: assign_uniform_weights(
-                erdos_renyi_graph(250_000, 1_000_000, seed=3), (1, 100), seed=4
-            ),
-            50,
-        ),
-    },
-    "xl": {
-        "rmat-10m-w100": (
-            lambda: assign_uniform_weights(
-                rmat_graph(20, 10, seed=1), (1, 100), seed=2
-            ),
-            100,
-        ),
-    },
-}
-
-#: which engines a suite runs (None = every registered engine) and
-#: which one its speedup column is relative to.  The per-message
-#: executors (async-heap, bsp) are infeasible at >=1M edges, so the
-#: scale/xl suites run the vectorised family and rebase on bsp-batched.
-SUITE_ENGINES: dict[str, list[str] | None] = {
-    "full": None,
-    "quick": None,
-    "scale": ["bsp-batched", "bsp-native"],
-    "xl": ["bsp-batched", "bsp-native"],
-}
-SUITE_REFERENCE = {
-    "full": REFERENCE_ENGINE,
-    "quick": REFERENCE_ENGINE,
-    "scale": "bsp-batched",
-    "xl": "bsp-batched",
 }
 
 
@@ -162,23 +107,12 @@ def pick_seeds(graph, k: int, rng_seed: int = 1) -> np.ndarray:
     return np.sort(rng.choice(comp, size=min(k, comp.size), replace=False))
 
 
-def suite_engine_names(suite: str) -> list[str]:
-    """The suite's engine subset, restricted to registered names."""
-    subset = SUITE_ENGINES[suite]
-    names = available_engines()
-    if subset is None:
-        return names
-    return [e for e in subset if e in names]
-
-
-def bench_graph(
-    name: str, builder, k: int, repeats: int,
-    engine_names: list[str], reference: str,
-) -> dict:
-    """Time the suite's engines on one graph; returns the record."""
+def bench_graph(name: str, builder, k: int, repeats: int) -> dict:
+    """Time every registered engine on one graph; returns the record."""
     graph = builder()
     seeds = pick_seeds(graph, k)
     partition = block_partition(graph, N_RANKS)
+    engine_names = available_engines()
 
     def fresh_program() -> VoronoiProgram:
         return VoronoiProgram(partition)
@@ -192,10 +126,9 @@ def bench_graph(
         lambda prog: (prog.src, prog.dist),
         engines=engine_names,
     )
-    count_ref = reference if reference.startswith("bsp") else REFERENCE_ENGINE
-    ref_stats = verified[count_ref].stats
+    ref_stats = verified[REFERENCE_ENGINE].stats
     for gated in engine_names:
-        if not gated.startswith("bsp") or gated == count_ref:
+        if not gated.startswith("bsp") or gated == REFERENCE_ENGINE:
             continue
         gated_stats = verified[gated].stats
         if (ref_stats.n_messages_local, ref_stats.n_messages_remote) != (
@@ -203,11 +136,10 @@ def bench_graph(
             gated_stats.n_messages_remote,
         ):
             raise AssertionError(
-                f"{gated} message counts diverged from {count_ref}"
+                f"{gated} message counts diverged from {REFERENCE_ENGINE}"
             )
 
     engines: dict[str, dict] = {}
-    availability = engine_availability()
     for engine in engine_names:
         best = None
         for _ in range(repeats):
@@ -224,30 +156,26 @@ def bench_graph(
                     "seconds": round(result.elapsed_s, 6),
                     "messages": result.stats.n_messages,
                     "supersteps": result.n_supersteps,
-                    "status": availability[engine]["status"],
                 }
         engines[engine] = best
-    ref = engines[reference]["seconds"]
+    ref = engines[REFERENCE_ENGINE]["seconds"]
     for record in engines.values():
         record["speedup"] = round(ref / record["seconds"], 3)
 
     print(f"{name}: |V|={graph.n_vertices} |E|={graph.n_edges} |S|={seeds.size}")
     for engine, record in engines.items():
         ss = record["supersteps"]
-        note = "" if record["status"] == "available" else f" [{record['status']}]"
         print(
             f"  {engine:14s} {record['seconds'] * 1e3:9.2f} ms"
-            f"  {record['speedup']:6.2f}x vs {reference}"
+            f"  {record['speedup']:6.2f}x vs {REFERENCE_ENGINE}"
             f"  msgs={record['messages']}"
             + (f" supersteps={ss}" if ss is not None else "")
-            + note
         )
     return {
         "n_vertices": graph.n_vertices,
         "n_edges": graph.n_edges,
         "n_seeds": int(seeds.size),
         "n_ranks": N_RANKS,
-        "reference": reference,
         "engines": engines,
     }
 
@@ -257,73 +185,35 @@ def check_baseline(
     baseline_path: Path,
     tolerance: float,
     min_speedup: float | None,
-    min_speedup_native: float | None,
 ) -> int:
-    """Gate: fail when a gated engine's speedup regressed.
+    """Gate: fail when the ``bsp-batched`` speedup regressed.
 
-    ``bsp-batched`` is compared against its baseline entry; a
-    graph/engine pair absent from the baseline is skipped (lets the
-    baseline trail new suites by one PR).  The JIT-tier gate
-    (``bsp-native`` vs ``bsp-batched``) additionally needs numba —
-    without it the ratio measures the fallback twin, so that gate is
-    skipped with a note.
+    A graph/engine pair absent from the baseline is skipped (lets the
+    baseline trail new suites by one PR).
     """
     baseline = json.loads(baseline_path.read_text())
-    native_active = native_status()["available"]
     failures = []
     for name, record in results.items():
         base_graph = baseline.get("results", {}).get(name)
         if base_graph is None:
             print(f"[check] {name}: no baseline entry, skipping")
             continue
-        engines = record["engines"]
-        reference = record.get("reference", REFERENCE_ENGINE)
-        if GATED_ENGINE in engines and GATED_ENGINE != reference:
-            base_engine = base_graph["engines"].get(GATED_ENGINE)
-            if base_engine is None:
-                print(f"[check] {name}: no {GATED_ENGINE} baseline, skipping")
-            else:
-                base = base_engine["speedup"]
-                measured = engines[GATED_ENGINE]["speedup"]
-                floor = base * (1.0 - tolerance)
-                if min_speedup is not None:
-                    floor = max(floor, min_speedup)
-                status = "OK" if measured >= floor else "REGRESSED"
-                print(
-                    f"[check] {name}: {GATED_ENGINE} speedup {measured:.2f}x "
-                    f"(baseline {base:.2f}x, floor {floor:.2f}x) {status}"
-                )
-                if measured < floor:
-                    failures.append(f"{name}:{GATED_ENGINE}")
-        if NATIVE_ENGINE in engines:
-            if not native_active:
-                print(
-                    f"[check] {name}: {NATIVE_ENGINE} runs as its twin "
-                    f"(numba absent), JIT gate skipped"
-                )
-            else:
-                measured = (
-                    engines[NATIVE_REFERENCE]["seconds"]
-                    / engines[NATIVE_ENGINE]["seconds"]
-                )
-                floor = 0.0
-                base_engine = base_graph["engines"].get(NATIVE_ENGINE)
-                if (
-                    base_engine is not None
-                    and base_engine.get("status") == "available"
-                ):
-                    base_ref = base_graph["engines"][NATIVE_REFERENCE]
-                    base = base_ref["seconds"] / base_engine["seconds"]
-                    floor = base * (1.0 - tolerance)
-                if min_speedup_native is not None:
-                    floor = max(floor, min_speedup_native)
-                status = "OK" if measured >= floor else "REGRESSED"
-                print(
-                    f"[check] {name}: {NATIVE_ENGINE} speedup {measured:.2f}x "
-                    f"vs {NATIVE_REFERENCE} (floor {floor:.2f}x) {status}"
-                )
-                if measured < floor:
-                    failures.append(f"{name}:{NATIVE_ENGINE}")
+        base_engine = base_graph["engines"].get(GATED_ENGINE)
+        if base_engine is None:
+            print(f"[check] {name}: no {GATED_ENGINE} baseline, skipping")
+            continue
+        base = base_engine["speedup"]
+        measured = record["engines"][GATED_ENGINE]["speedup"]
+        floor = base * (1.0 - tolerance)
+        if min_speedup is not None:
+            floor = max(floor, min_speedup)
+        status = "OK" if measured >= floor else "REGRESSED"
+        print(
+            f"[check] {name}: {GATED_ENGINE} speedup {measured:.2f}x "
+            f"(baseline {base:.2f}x, floor {floor:.2f}x) {status}"
+        )
+        if measured < floor:
+            failures.append(f"{name}:{GATED_ENGINE}")
     if failures:
         print(f"[check] FAILED: regressions on {failures}")
         return 1
@@ -339,8 +229,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--suite", choices=sorted(SUITES), default=None,
-        help="workload size: quick (~6K edges), full (~100K, default), "
-        "scale (1M, vectorised/compiled engines only), xl (10M, on-demand)",
+        help="workload size: quick (~6K edges) or full (~100K, default)",
     )
     parser.add_argument(
         "--out", type=Path, default=Path("BENCH_engines.json"),
@@ -362,33 +251,15 @@ def main(argv: list[str] | None = None) -> int:
         help="absolute speedup floor for the gated engine (acceptance "
         "target: 3.0 on the full suite)",
     )
-    parser.add_argument(
-        "--min-speedup-native", type=float, default=None,
-        help="absolute floor for bsp-native vs bsp-batched (the CI "
-        "numba job gates 2.0 on the scale suite); ignored without numba",
-    )
     args = parser.parse_args(argv)
     if args.suite and args.quick:
         parser.error("--quick and --suite are mutually exclusive")
-    if args.check is None:
-        for flag in ("--min-speedup", "--min-speedup-native"):
-            if getattr(args, flag[2:].replace("-", "_")) is not None:
-                parser.error(f"{flag} needs --check (without it no floor is applied)")
+    if args.min_speedup is not None and args.check is None:
+        parser.error("--min-speedup needs --check (without it no floor is applied)")
     suite = args.suite or ("quick" if args.quick else "full")
 
-    status = native_status()
-    n_warmed = warmup()  # JIT compilation happens HERE, not in a timing loop
-    print(
-        f"native tier: {'numba ' + str(status['version']) if status['available'] else 'absent'}"
-        + (f" (warmed {n_warmed} kernel modules,"
-           f" cache {status['cache_dir']})" if status["available"] else
-           f" ({status['reason']}) — bsp-native runs as its NumPy twin")
-    )
-
-    engine_names = suite_engine_names(suite)
-    reference = SUITE_REFERENCE[suite]
     results = {
-        name: bench_graph(name, builder, k, args.repeats, engine_names, reference)
+        name: bench_graph(name, builder, k, args.repeats)
         for name, (builder, k) in SUITES[suite].items()
     }
     payload = {
@@ -399,9 +270,7 @@ def main(argv: list[str] | None = None) -> int:
             "machine": platform.machine(),
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "gated_engine": GATED_ENGINE,
-            "native_engine": NATIVE_ENGINE,
-            "reference_engine": reference,
-            "native": status,
+            "reference_engine": REFERENCE_ENGINE,
         },
         "results": results,
     }
@@ -410,11 +279,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.check is not None:
         return check_baseline(
-            results,
-            args.check,
-            args.tolerance,
-            args.min_speedup,
-            args.min_speedup_native,
+            results, args.check, args.tolerance, args.min_speedup
         )
     return 0
 

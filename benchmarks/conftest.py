@@ -16,17 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro.harness.datasets import load_dataset
-from repro.native import warmup
 from repro.seeds.selection import select_seeds
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_native_kernels():
-    """Compile every numba kernel before any benchmark runs, so JIT
-    compilation never lands inside a timing column (no-op without
-    numba; the cache dir is pinned by ``repro.native`` so reruns
-    reload compiled artifacts)."""
-    warmup()
 
 
 @pytest.fixture(scope="session")

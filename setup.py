@@ -1,8 +1,5 @@
 from setuptools import find_packages, setup
 
-# numba is deliberately an *extra*: the whole native JIT tier
-# (delta-numba backend, bsp-native engine) degrades to its NumPy twins
-# when the import fails, and CI runs both sides.  See docs/kernels.md.
 setup(
     name="repro-steiner",
     version="0.6.0",
@@ -18,7 +15,6 @@ setup(
     install_requires=["numpy"],
     extras_require={
         "scipy": ["scipy"],
-        "native": ["numba"],
         "docs": ["mkdocs", "mkdocs-material", "mkdocstrings[python]"],
     },
     entry_points={

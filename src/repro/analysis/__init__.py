@@ -6,7 +6,6 @@ registers the built-in rule families:
 
 * ``REP1xx`` — determinism lint (:mod:`~repro.analysis.rules_determinism`)
 * ``REP2xx`` — fingerprint-coverage audit (:mod:`~repro.analysis.rules_fingerprint`)
-* ``REP3xx`` — ``prange`` race detector (:mod:`~repro.analysis.rules_prange`)
 * ``REP5xx`` — registry-contract conformance (:mod:`~repro.analysis.rules_contracts`)
 """
 
@@ -14,7 +13,6 @@ from repro.analysis import (  # importing registers the rules
     rules_contracts,
     rules_determinism,
     rules_fingerprint,
-    rules_prange,
 )
 from repro.analysis.engine import (
     DEFAULT_EXCLUDES,

@@ -2,11 +2,10 @@
 
 A small, dependency-free static-analysis pass purpose-built for this
 repository's invariants: bit-identical parity across backends and
-engines only survives new code if that code is deterministic, keeps the
-cache fingerprint honest, and keeps ``prange`` kernels race-free.
-Runtime tests catch a violation only on the path they happen to
-exercise; these rules catch the *bug classes* at review time, on every
-path.
+engines only survives new code if that code is deterministic and keeps
+the cache fingerprint honest.  Runtime tests catch a violation only on
+the path they happen to exercise; these rules catch the *bug classes*
+at review time, on every path.
 
 Architecture
 ------------
@@ -60,7 +59,6 @@ DEFAULT_EXCLUDES: tuple[str, ...] = (
     "analysis_fixtures",
     "__pycache__",
     ".git",
-    ".numba_cache",
 )
 
 _SUPPRESS_RE = re.compile(r"#\s*repro:\s*ignore\[([A-Z0-9,\s]+)\]")

@@ -14,11 +14,7 @@ these entry points instead of reaching into ``repro.core`` internals:
   :mod:`repro.core`;
 * :mod:`repro.api.schema` — the versioned JSON request/response shapes
   shared by :meth:`SteinerTreeResult.to_json` and the
-  ``repro-steiner serve`` protocol;
-* :func:`native_status` — is the optional numba JIT tier active?
-  (``voronoi_backend="delta-numba"`` / ``engine="bsp-native"`` are
-  always legal names; without numba they run as their NumPy twins —
-  this reports which you are getting, and why.)
+  ``repro-steiner serve`` protocol.
 
 Quickstart
 ----------
@@ -46,7 +42,6 @@ from repro.core.config import CONFIG_FIELD_ALIASES, SolverConfig
 from repro.core.result import SteinerTreeResult
 from repro.core.sequential import sequential_steiner_tree
 from repro.core.solver import DistributedSteinerSolver
-from repro.native import native_status
 
 if TYPE_CHECKING:
     from repro.graph.csr import CSRGraph
@@ -57,7 +52,6 @@ __all__ = [
     "Session",
     "SolverConfig",
     "SteinerTreeResult",
-    "native_status",
     "schema",
     "sequential_steiner_tree",
     "solve",

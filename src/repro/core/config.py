@@ -69,12 +69,9 @@ class SolverConfig:
         registered in :mod:`repro.runtime.engines`: ``"async-heap"``
         (asynchronous event engine, the paper-faithful default),
         ``"bsp"`` (per-message bulk-synchronous supersteps, the §IV
-        ablation baseline), ``"bsp-batched"`` (vectorised supersteps —
+        ablation baseline) or ``"bsp-batched"`` (vectorised supersteps —
         identical semantics and message counts to ``"bsp"``, NumPy
-        array operations instead of per-message Python) or
-        ``"bsp-native"`` (each superstep fused into one numba-JIT
-        kernel; transparently runs as ``"bsp-batched"`` when numba is
-        not installed — same counts either way).  Every engine
+        array operations instead of per-message Python).  Every engine
         converges to the identical Steiner tree.
     bsp:
         Deprecated alias: ``bsp=True`` selects ``engine="bsp"``.  After
@@ -106,12 +103,11 @@ class SolverConfig:
         message-driven engine — the paper-faithful path that produces
         the per-phase message counts behind Figs. 3-6.  Any registered
         name from :mod:`repro.shortest_paths.backends` (``"dijkstra"``,
-        ``"delta-numpy"``, ``"delta-numba"``, ``"scipy"``, ...) instead
-        computes the identical ``(src, pred, dist)`` fixpoint with that
-        sequential kernel and charges only wall time for the phase —
-        the fast path for workloads that need the tree, not the message
-        trace.  ``"delta-numba"`` is the JIT tier; without numba it
-        transparently runs as ``"delta-numpy"``.
+        ``"delta-numpy"``, ``"scipy"``, ...) instead computes the
+        identical ``(src, pred, dist)`` fixpoint with that sequential
+        kernel — the fast path for workloads that need the tree, not
+        the message trace.  The phase is then not simulated: its
+        ``sim_time`` is ``0.0`` and it sends no messages.
     fault_plan:
         Deterministic chaos: a :class:`repro.faults.FaultPlan` whose
         ``corrupt_cache`` / ``drop_connection`` actions the serve tier

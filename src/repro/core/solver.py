@@ -14,8 +14,8 @@ Orchestrates the six phases over the simulated runtime:
 
 The message-driven phases (1 and 6) execute on the runtime engine
 selected by ``SolverConfig.engine`` — any name registered in
-:mod:`repro.runtime.engines` (``async-heap``, ``bsp``, ``bsp-batched``,
-``bsp-native``); every engine converges to the identical tree.
+:mod:`repro.runtime.engines` (``async-heap``, ``bsp``,
+``bsp-batched``); every engine converges to the identical tree.
 
 The solver reports, per phase, the simulated parallel time and message
 counts — the exact quantities behind the paper's Figs. 3-6 — plus a
@@ -212,14 +212,13 @@ class DistributedSteinerSolver:
         # pre-converged diagram (injected by the serve batcher or found
         # in the diagram cache) — all converge to the same deterministic
         # (dist, owner) fixpoint, so phases 2-6 and the output tree are
-        # identical.
+        # identical.  Only the simulated sweep has a simulated time; a
+        # backend, cached or injected sweep records 0.0 and no messages.
+        vc_stats = PhaseStats(
+            name=PHASE_NAMES[0], sim_time=0.0, busy_time=np.zeros(cfg.n_ranks)
+        )
         if diagram is not None:
             src, dist, pred = diagram.src, diagram.dist, diagram.pred
-            vc_stats = PhaseStats(
-                name=PHASE_NAMES[0],
-                sim_time=0.0,
-                busy_time=np.zeros(cfg.n_ranks),
-            )
         elif cfg.voronoi_backend is None:
             provenance["sweep"] = "simulated"
             program = VoronoiProgram(self.partition)
@@ -241,11 +240,6 @@ class DistributedSteinerSolver:
             if cached_vd is not None:
                 provenance["sweep"] = "diagram-cache"
                 src, dist, pred = cached_vd.src, cached_vd.dist, cached_vd.pred
-                vc_stats = PhaseStats(
-                    name=PHASE_NAMES[0],
-                    sim_time=0.0,
-                    busy_time=np.zeros(cfg.n_ranks),
-                )
             else:
                 from repro.shortest_paths.backends import compute_multisource
 
@@ -258,11 +252,6 @@ class DistributedSteinerSolver:
                     self.cache.put_diagram(
                         self._diagram_key(seeds_arr), ms.diagram
                     )
-                vc_stats = PhaseStats(
-                    name=PHASE_NAMES[0],
-                    sim_time=ms.elapsed_s,
-                    busy_time=np.zeros(cfg.n_ranks),
-                )
         phases.append(vc_stats)
 
         # ---- Phase 2: Local Min Dist. Edge (Alg. 5, local) ------------ #

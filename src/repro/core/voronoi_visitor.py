@@ -224,17 +224,6 @@ class VoronoiProgram:
                 )
 
     # ------------------------------------------------------------------ #
-    # native protocol (bsp-native engine): compiled superstep kernel
-    # ------------------------------------------------------------------ #
-    def native_state(self) -> tuple:
-        """The ``(src, pred, dist)`` arrays the bsp-native engine's
-        compiled superstep relaxes in place — the same lexicographic
-        ``(r, t, vp)`` reduction and improvement test as
-        :meth:`batch_visit`, fused with the neighbour expansion into
-        one kernel (see :mod:`repro.runtime.engine_native`)."""
-        return self.src, self.pred, self.dist
-
-    # ------------------------------------------------------------------ #
     def _batch_expand(
         self,
         vs: np.ndarray,

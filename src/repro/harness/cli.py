@@ -10,8 +10,8 @@ Subcommands
     Run the full evaluation sweep (every table and figure), printing
     each report — the command behind EXPERIMENTS.md.
 ``solve --dataset LVJ --seeds 30 [--ranks 16] [--queue priority]
-[--engine async-heap|bsp|bsp-batched|bsp-native]
-[--backend simulate|dijkstra|delta-numpy|delta-numba|scipy|...]``
+[--engine async-heap|bsp|bsp-batched]
+[--backend simulate|dijkstra|delta-numpy|scipy|...]``
     One-off solve on a stand-in dataset, printing the tree summary and
     the phase breakdown.  ``--engine`` picks the runtime engine the
     message-driven phases execute on; ``--backend simulate`` (default)
@@ -30,27 +30,25 @@ Subcommands
     printed on startup).
 ``backends [--bench] [--dataset LVJ] [--seeds 30]``
     List the registered multi-source shortest-path backends — each with
-    its availability (``available`` / ``fallback -> twin`` /
-    ``unavailable``, plus the import-failure reason for the optional
-    tiers); with ``--bench``, time each one on the chosen instance and
-    verify they agree bit-for-bit.
+    its availability (``available`` / ``unavailable``, plus the
+    import-failure reason for an optional backend such as ``scipy``);
+    with ``--bench``, time each one on the chosen instance and verify
+    they agree bit-for-bit.
 ``check [PATHS...] [--format text|json] [--show-suppressed]
 [--files-only] [--list-rules]``
     Run the repo-invariant static-analysis pass (``docs/analysis.md``):
-    determinism lint, fingerprint-coverage audit, ``prange`` race
-    detector and registry-contract conformance.  Exits 0
-    iff every finding is fixed or carries a justified
-    ``# repro: ignore[REPxxx]`` suppression — the pre-PR gate CI runs
-    as the blocking ``check`` job.
+    determinism lint, fingerprint-coverage audit and registry-contract
+    conformance.  Exits 0 iff every finding is fixed or carries a
+    justified ``# repro: ignore[REPxxx]`` suppression — the pre-PR gate
+    CI runs as the blocking ``check`` job.
 ``engines [--bench] [--dataset LVJ] [--seeds 30] [--ranks 16]``
-    List the registered runtime engines with their availability (same
-    format as ``backends``); with ``--bench``, solve the
-    chosen instance on each engine, verify the trees are identical and
-    report per-engine wall/simulated time and message counts.  The
-    bench is deterministic apart from the wall-clock column: seeded
-    seed selection and registry order fixed (default engine first, rest
-    alphabetical), so the counters in two CI logs are comparable
-    line-for-line.
+    List the registered runtime engines, one line each; with
+    ``--bench``, solve the chosen instance on each engine, verify the
+    trees are identical and report per-engine wall/simulated time and
+    message counts.  The bench is deterministic apart from the
+    wall-clock column: seeded seed selection and registry order fixed
+    (default engine first, rest alphabetical), so the counters in two
+    CI logs are comparable line-for-line.
 """
 
 from __future__ import annotations
@@ -197,26 +195,6 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _print_registry_listing(availability: dict[str, dict]) -> None:
-    """Shared ``backends``/``engines`` listing: name, status, one-liner.
-
-    Optional tiers that degraded (``fallback``) or failed to register
-    (``unavailable``) get a second, indented line naming the twin they
-    delegate to and the import-failure reason — so "why am I not getting
-    the JIT tier?" is answerable from the listing alone.
-    """
-    for name, record in availability.items():
-        status = record["status"]
-        print(f"{name:16s} {status:12s} {record['help']}")
-        if status == "fallback":
-            print(
-                f"{'':16s} {'':12s} -> runs as {record['fallback']!r} "
-                f"({record['reason']})"
-            )
-        elif status == "unavailable":
-            print(f"{'':16s} {'':12s} -> not registered ({record['reason']})")
-
-
 def _cmd_backends(args) -> int:
     from repro.shortest_paths.backends import (
         backend_availability,
@@ -225,7 +203,13 @@ def _cmd_backends(args) -> int:
     )
 
     if not args.bench:
-        _print_registry_listing(backend_availability())
+        # an optional backend that failed to register gets a second,
+        # indented line with the import-failure reason
+        for name, record in backend_availability().items():
+            status = record["status"]
+            print(f"{name:16s} {status:12s} {record['help']}")
+            if status == "unavailable":
+                print(f"{'':16s} {'':12s} -> not registered ({record['reason']})")
         return 0
     help_by_name = backend_help()
 
@@ -260,10 +244,11 @@ def _cmd_backends(args) -> int:
 
 
 def _cmd_engines(args) -> int:
-    from repro.runtime.engines import engine_availability
+    from repro.runtime.engines import engine_help
 
     if not args.bench:
-        _print_registry_listing(engine_availability())
+        for name, help_text in engine_help().items():
+            print(f"{name:16s} {help_text}")
         return 0
 
     from repro.harness.datasets import load_dataset

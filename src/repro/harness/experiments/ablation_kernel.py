@@ -6,10 +6,7 @@ multi-source sweeps) is work-efficient but bucket-synchronous, which
 "does not naturally extend to distributed memory".  Sequentially all
 the kernels are legal — this ablation times them on the same
 instances and verifies they reach the identical fixpoint, quantifying
-the work-efficiency trade the paper accepted for asynchrony.  The
-fused JIT tier (``delta-numba``) rides along when numba is installed;
-without it the row would duplicate the vectorised-NumPy row (the
-fallback), so it is skipped rather than reported twice.
+the work-efficiency trade the paper accepted for asynchrony.
 """
 
 from __future__ import annotations
@@ -26,8 +23,6 @@ from repro.shortest_paths.multisource import (
     compute_voronoi_cells_delta_stepping,
     compute_voronoi_cells_spfa,
 )
-from repro.native import NUMBA_AVAILABLE, warmup
-from repro.shortest_paths.native import compute_voronoi_cells_delta_numba
 from repro.shortest_paths.vectorized import compute_voronoi_cells_delta_numpy
 from repro.shortest_paths.voronoi import compute_voronoi_cells
 
@@ -40,12 +35,6 @@ _KERNELS = [
     ("Delta-stepping (Ceccarello-style)", compute_voronoi_cells_delta_stepping),
     ("Delta-stepping (vectorised NumPy)", compute_voronoi_cells_delta_numpy),
 ]
-if NUMBA_AVAILABLE:
-    # without numba this entry IS the vectorised-NumPy kernel (the
-    # fallback); reporting the same measurement twice would be noise
-    _KERNELS.append(
-        ("Delta-stepping (fused numba JIT)", compute_voronoi_cells_delta_numba)
-    )
 
 
 def run(quick: bool = False) -> ExperimentReport:
@@ -54,7 +43,6 @@ def run(quick: bool = False) -> ExperimentReport:
     being reproduced)."""
     datasets = ["LVJ"] if quick else ["LVJ", "PTN", "UKW"]
     k = SEED_COUNTS[100]
-    warmup()  # JIT compilation must never land inside a timing loop
     report = ExperimentReport(EXP_ID, TITLE)
     raw: dict[str, dict[str, float]] = {}
 

@@ -25,14 +25,14 @@ Parity guarantee (pinned by ``tests/test_engines.py`` and
 ``tests/test_engine_conformance.py``): every engine drives a program to
 the **identical converged state** — for the solver, the identical
 ``(src, dist)`` fixpoint and hence the bit-identical Steiner tree.  The
-bulk-synchronous engines (``bsp``, ``bsp-batched``, ``bsp-native``)
-additionally produce **identical message counts, visit counts and
-superstep counts** — they execute the same supersteps, one per-message,
-one vectorised, one compiled.  Message
-counts *across* execution models legitimately differ — scheduling order
-changes how many wasted relaxations occur, which is exactly the effect
-the paper's Figs. 5-6 measure — so cross-model count equality is a
-measured quantity (the async-vs-BSP ablation), not an invariant.
+bulk-synchronous engines (``bsp``, ``bsp-batched``) additionally
+produce **identical message counts, visit counts and superstep
+counts** — they execute the same supersteps, one per-message, one
+vectorised.  Message counts *across* execution models legitimately
+differ — scheduling order changes how many wasted relaxations occur,
+which is exactly the effect the paper's Figs. 5-6 measure — so
+cross-model count equality is a measured quantity (the async-vs-BSP
+ablation), not an invariant.
 
 Registered engines
 ------------------
@@ -50,16 +50,9 @@ Registered engines
     superstep is NumPy array operations over the partitioned CSR
     instead of one Python callback per message — same semantics as
     ``bsp``, order-of-magnitude less interpreter overhead.
-``bsp-native``
-    Compiled supersteps
-    (:class:`~repro.runtime.engine_native.BSPNativeEngine`): the whole
-    batched superstep fused into one numba-JIT kernel.  numba is
-    optional — without it the engine *is* ``bsp-batched``, and
-    :func:`engine_availability` / ``repro-steiner engines`` report the
-    fallback and the import-failure reason.
 
 >>> available_engines()
-['async-heap', 'bsp', 'bsp-batched', 'bsp-native']
+['async-heap', 'bsp', 'bsp-batched']
 >>> available_engines()[0] == DEFAULT_ENGINE == "async-heap"
 True
 """
@@ -82,12 +75,10 @@ __all__ = [
     "DEFAULT_ENGINE",
     "EngineResult",
     "available_engines",
-    "engine_availability",
     "engine_help",
     "get_engine",
     "make_engine",
     "register_engine",
-    "register_unavailable_engine",
     "run_phase_with",
     "verify_engines_agree",
 ]
@@ -99,13 +90,6 @@ DEFAULT_ENGINE = "async-heap"
 
 _REGISTRY: dict[str, EngineFactory] = {}
 _HELP: dict[str, str] = {}
-#: name -> {"status": "available" | "fallback" | "unavailable",
-#:          "reason": import-failure text (or None),
-#:          "fallback": registry name the entry delegates to (or None)}
-#: — the per-entry availability record behind ``repro-steiner engines``.
-#: ``fallback`` entries are registered and callable (they run as their
-#: NumPy twin); ``unavailable`` entries are listing-only.
-_AVAILABILITY: dict[str, dict] = {}
 
 
 @dataclass(frozen=True)
@@ -135,53 +119,21 @@ class EngineResult:
 
 
 def register_engine(
-    name: str,
-    help_text: str = "",
-    *,
-    status: str = "available",
-    reason: str | None = None,
-    fallback: str | None = None,
+    name: str, help_text: str = ""
 ) -> Callable[[EngineFactory], EngineFactory]:
     """Decorator registering ``factory`` as runtime engine ``name``.
 
     Re-registering a name overwrites it (deliberate: lets tests and
     downstream users shadow an engine with an instrumented variant).
-
-    ``status``/``reason``/``fallback`` record availability provenance
-    for optional tiers: ``"fallback"`` means the entry is callable but
-    runs as the twin named by ``fallback`` because its accelerator
-    failed to import (``reason`` carries the import error) — surfaced
-    by :func:`engine_availability` and the CLI listing.
     """
 
     def deco(factory: EngineFactory) -> EngineFactory:
         _REGISTRY[name] = factory
         doc_lines = (factory.__doc__ or "").strip().splitlines()
         _HELP[name] = help_text or (doc_lines[0] if doc_lines else name)
-        _AVAILABILITY[name] = {
-            "status": status,
-            "reason": reason,
-            "fallback": fallback,
-        }
         return factory
 
     return deco
-
-
-def register_unavailable_engine(name: str, help_text: str, reason: str) -> None:
-    """Record an optional engine that could not register at all.
-
-    The name stays *out* of the callable registry (``get_engine`` keeps
-    failing fast), but :func:`engine_availability` and the CLI listing
-    show the entry with its import-failure reason instead of silently
-    omitting it.
-    """
-    _HELP[name] = help_text
-    _AVAILABILITY[name] = {
-        "status": "unavailable",
-        "reason": reason,
-        "fallback": None,
-    }
 
 
 def available_engines() -> list[str]:
@@ -193,29 +145,6 @@ def available_engines() -> list[str]:
 def engine_help() -> dict[str, str]:
     """``{name: one-line description}`` for CLI listings."""
     return {name: _HELP.get(name, "") for name in available_engines()}
-
-
-def engine_availability() -> dict[str, dict]:
-    """Per-entry availability: ``{name: {status, reason, fallback, help}}``.
-
-    Registered (callable) entries first, in :func:`available_engines`
-    order; ``unavailable`` listing-only entries follow alphabetically.
-    ``status`` is ``"available"`` (the named executor runs),
-    ``"fallback"`` (callable, but running as ``fallback`` — ``reason``
-    says why) or ``"unavailable"`` (not callable; ``reason`` says why).
-    """
-    names = available_engines()
-    names += sorted(k for k in _AVAILABILITY if k not in _REGISTRY)
-    out: dict[str, dict] = {}
-    for name in names:
-        record = dict(
-            _AVAILABILITY.get(
-                name, {"status": "available", "reason": None, "fallback": None}
-            )
-        )
-        record["help"] = _HELP.get(name, "")
-        out[name] = record
-    return out
 
 
 def get_engine(name: str) -> EngineFactory:
@@ -370,42 +299,8 @@ def _bsp_batched_factory(
     return BSPBatchedEngine(partition, machine, discipline)
 
 
-def _register_bsp_native() -> None:
-    """Register the JIT tier (or its fallback twin) under ``bsp-native``.
-
-    The entry is *always* registered: with numba present the engine
-    fuses each superstep into one compiled kernel; without, the
-    constructed engine transparently runs the batched NumPy supersteps
-    (identical semantics and counters) and the availability record says
-    so (status ``fallback`` + the import-failure reason).
-    """
-    from repro.native import NUMBA_AVAILABLE, NUMBA_IMPORT_ERROR
-
-    @register_engine(
-        "bsp-native",
-        "fused JIT-compiled supersteps (numba; falls back to bsp-batched)",
-        status="available" if NUMBA_AVAILABLE else "fallback",
-        reason=NUMBA_IMPORT_ERROR,
-        fallback=None if NUMBA_AVAILABLE else "bsp-batched",
-    )
-    def _bsp_native_factory(
-        partition: PartitionedGraph,
-        machine: MachineModel | None = None,
-        discipline: QueueDiscipline | str = QueueDiscipline.PRIORITY,
-        *,
-        aggregate_remote: bool = False,
-    ) -> EngineBase:
-        from repro.runtime.engine_native import BSPNativeEngine
-
-        return BSPNativeEngine(partition, machine, discipline)
-
-
-_register_bsp_native()
-
-
 if TYPE_CHECKING:
     from repro.contracts import RuntimeEngine
-    from repro.runtime.engine_native import BSPNativeEngine
 
     # mypy structurally verifies every built-in engine class against the
     # registry contract (repro.contracts.RuntimeEngine); dropping or
@@ -415,5 +310,4 @@ if TYPE_CHECKING:
         AsyncEngine,
         BSPEngine,
         BSPBatchedEngine,
-        BSPNativeEngine,
     )

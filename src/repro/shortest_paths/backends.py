@@ -80,13 +80,10 @@ DEFAULT_BACKEND = "dijkstra"
 
 _REGISTRY: dict[str, BackendFn] = {}
 _HELP: dict[str, str] = {}
-#: name -> {"status": "available" | "fallback" | "unavailable",
-#:          "reason": import-failure text (or None),
-#:          "fallback": registry name the entry delegates to (or None)}
-#: — the per-entry availability record behind ``repro-steiner backends``.
-#: ``fallback`` entries are registered and callable (they delegate to
-#: their NumPy twin); ``unavailable`` entries are listing-only.
-_AVAILABILITY: dict[str, dict] = {}
+#: name -> import-failure reason of an optional backend that could not
+#: register — the listing-only ``unavailable`` entries behind
+#: ``repro-steiner backends``
+_UNAVAILABLE: dict[str, str] = {}
 
 
 @dataclass(frozen=True)
@@ -135,34 +132,18 @@ class MultiSourceResult:
 
 
 def register_backend(
-    name: str,
-    help_text: str = "",
-    *,
-    status: str = "available",
-    reason: str | None = None,
-    fallback: str | None = None,
+    name: str, help_text: str = ""
 ) -> Callable[[BackendFn], BackendFn]:
     """Decorator registering ``fn`` as multi-source backend ``name``.
 
     Re-registering a name overwrites it (deliberate: lets tests and
     downstream users shadow a backend with an instrumented variant).
-
-    ``status``/``reason``/``fallback`` record availability provenance
-    for optional tiers: ``"fallback"`` means the entry is callable but
-    delegates to the twin named by ``fallback`` because its accelerator
-    failed to import (``reason`` carries the import error) — surfaced
-    by :func:`backend_availability` and the CLI listing.
     """
 
     def deco(fn: BackendFn) -> BackendFn:
         _REGISTRY[name] = fn
         doc_lines = (fn.__doc__ or "").strip().splitlines()
         _HELP[name] = help_text or (doc_lines[0] if doc_lines else name)
-        _AVAILABILITY[name] = {
-            "status": status,
-            "reason": reason,
-            "fallback": fallback,
-        }
         return fn
 
     return deco
@@ -179,11 +160,7 @@ def register_unavailable_backend(
     silently omitting it.
     """
     _HELP[name] = help_text
-    _AVAILABILITY[name] = {
-        "status": "unavailable",
-        "reason": reason,
-        "fallback": None,
-    }
+    _UNAVAILABLE[name] = reason
 
 
 def available_backends() -> list[str]:
@@ -198,26 +175,23 @@ def backend_help() -> dict[str, str]:
 
 
 def backend_availability() -> dict[str, dict]:
-    """Per-entry availability: ``{name: {status, reason, fallback, help}}``.
+    """Per-entry availability: ``{name: {status, reason, help}}``.
 
     Registered (callable) entries first, in :func:`available_backends`
-    order; ``unavailable`` listing-only entries (optional tiers whose
-    import failed outright) follow alphabetically.  ``status`` is
-    ``"available"`` (the named kernel runs), ``"fallback"`` (callable,
-    but delegating to ``fallback`` — ``reason`` says why) or
-    ``"unavailable"`` (not callable; ``reason`` says why).
+    order, with status ``"available"``; ``"unavailable"`` listing-only
+    entries (optional backends whose import failed outright) follow
+    alphabetically, ``reason`` saying why.
     """
-    names = available_backends()
-    names += sorted(k for k in _AVAILABILITY if k not in _REGISTRY)
-    out: dict[str, dict] = {}
-    for name in names:
-        record = dict(
-            _AVAILABILITY.get(
-                name, {"status": "available", "reason": None, "fallback": None}
-            )
-        )
-        record["help"] = _HELP.get(name, "")
-        out[name] = record
+    out = {
+        name: {"status": "available", "reason": None, "help": help_text}
+        for name, help_text in backend_help().items()
+    }
+    for name in sorted(k for k in _UNAVAILABLE if k not in _REGISTRY):
+        out[name] = {
+            "status": "unavailable",
+            "reason": _UNAVAILABLE[name],
+            "help": _HELP.get(name, ""),
+        }
     return out
 
 
@@ -318,34 +292,6 @@ def _delta_python_backend(
     )
 
     return compute_voronoi_cells_delta_stepping(graph, seeds, delta)
-
-
-def _register_delta_numba() -> None:
-    """Register the JIT tier (or its fallback twin) under ``delta-numba``.
-
-    The entry is *always* registered: with numba present it runs the
-    fused compiled sweep; without, the callable transparently delegates
-    to ``delta-numpy`` and the availability record says so (status
-    ``fallback`` + the import-failure reason).
-    """
-    from repro.native import NUMBA_AVAILABLE, NUMBA_IMPORT_ERROR
-
-    @register_backend(
-        "delta-numba",
-        "fused JIT-compiled Delta-stepping (numba; falls back to delta-numpy)",
-        status="available" if NUMBA_AVAILABLE else "fallback",
-        reason=NUMBA_IMPORT_ERROR,
-        fallback=None if NUMBA_AVAILABLE else "delta-numpy",
-    )
-    def _delta_numba_backend(
-        graph: CSRGraph, seeds: Sequence[int], delta: int | None = None
-    ) -> VoronoiDiagram:
-        from repro.shortest_paths.native import compute_voronoi_cells_delta_numba
-
-        return compute_voronoi_cells_delta_numba(graph, seeds, delta)
-
-
-_register_delta_numba()
 
 
 _SCIPY_HELP = (

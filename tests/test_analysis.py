@@ -44,8 +44,6 @@ ALL_RULE_IDS = {
     "REP201",
     "REP202",
     "REP203",
-    "REP301",
-    "REP302",
     "REP501",
     "REP502",
     "REP503",
@@ -93,14 +91,6 @@ class TestFixtures:
 
         cold = _check_fixture("bad_clock.py")  # real (tests/...) path
         assert [f for f in cold if f.rule == "REP103"] == []
-
-    def test_prange_fixture(self):
-        findings = _check_fixture("bad_prange.py")
-        assert _pairs(findings) == [
-            ("REP301", 14),
-            ("REP302", 15),
-            ("REP302", 16),
-        ]
 
     def test_fixture_dir_is_never_scanned_by_default(self):
         # The deliberately-bad fixtures must not fail a normal run over
@@ -161,8 +151,6 @@ class TestReport:
         counts = report.counts()
         assert counts["REP101"] >= 6  # bad_rng + unsuppressed suppressed.py
         assert counts["REP102"] == 4
-        assert counts["REP301"] == 1
-        assert counts["REP302"] == 2
         # suppressed findings are recorded but never counted
         assert sum(1 for f in report.findings if f.suppressed) == 2
 

@@ -343,3 +343,25 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert proc.stdout.strip() == "[]"
+
+
+class TestImportHasNoSideEffects:
+    def test_import_leaves_environment_unchanged(self):
+        # start from an empty environment, so a default the library
+        # writes only when a variable is unset cannot hide behind a
+        # value this test process inherited
+        proc = _run_python(
+            """
+import os
+os.environ.clear()
+before = dict(os.environ)
+import repro.api
+import repro.serve
+import repro.harness.cli
+changed = set(before.items()) ^ set(os.environ.items())
+assert not changed, sorted(changed)
+print("ok")
+"""
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.strip() == "ok"

@@ -23,6 +23,7 @@ from repro.graph.generators import grid_graph
 from repro.shortest_paths.backends import (
     DEFAULT_BACKEND,
     available_backends,
+    backend_availability,
     backend_help,
     compute_multisource,
     get_backend,
@@ -215,6 +216,38 @@ class TestRegistry:
         direct = compute_voronoi_cells_delta_numpy(random_graph, seeds)
         assert np.array_equal(via_kwarg.dist, direct.dist)
         assert np.array_equal(via_kwarg.pred, direct.pred)
+
+
+class TestAvailability:
+    """An optional backend that failed to import stays listed with its
+    reason, but never becomes callable."""
+
+    @pytest.fixture
+    def missing_backend(self):
+        from repro.shortest_paths import backends as mod
+
+        mod.register_unavailable_backend(
+            "_test-missing", "test-only missing tier", "ImportError: nope"
+        )
+        yield "_test-missing"
+        mod._HELP.pop("_test-missing")
+        mod._UNAVAILABLE.pop("_test-missing")
+
+    def test_unavailable_entries_are_listing_only(self, missing_backend):
+        records = backend_availability()
+        assert records[DEFAULT_BACKEND]["status"] == "available"
+        assert records[missing_backend]["status"] == "unavailable"
+        assert records[missing_backend]["reason"] == "ImportError: nope"
+        with pytest.raises(ValueError, match="backend"):
+            get_backend(missing_backend)
+
+    def test_cli_listing_shows_reason(self, missing_backend, capsys):
+        from repro.harness.cli import main
+
+        assert main(["backends"]) == 0
+        out = capsys.readouterr().out
+        assert missing_backend in out
+        assert "-> not registered (ImportError: nope)" in out
 
 
 class TestSolverIntegration:

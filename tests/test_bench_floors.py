@@ -30,8 +30,6 @@ def _bench_main(script: str):
     "script,flag",
     [
         ("bench_engines.py", "--min-speedup"),
-        ("bench_engines.py", "--min-speedup-native"),
-        ("bench_backends.py", "--min-speedup-native"),
         ("bench_serve.py", "--min-batch-ratio"),
         ("bench_serve.py", "--min-cache-speedup"),
     ],

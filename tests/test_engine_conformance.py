@@ -3,21 +3,20 @@
 This module is the single place the registry-wide parity contract is
 spelled out and exercised.  The helpers here (``solve_with``,
 ``assert_counts_identical``, ``assert_conformance``) are the canonical
-implementations — ``tests/test_engines.py`` and ``tests/test_native.py``
-import them for their engine-specific suites, so there is exactly one
-definition of "engines agree" in the tree.
+implementations — ``tests/test_engines.py`` imports them for its
+engine-specific suites, so there is exactly one definition of "engines
+agree" in the tree.
 
 What the matrix pins, for **every registered engine** (discovered via
-``engine_availability()``, so a newly registered engine joins the
-matrix automatically and cannot ship unpinned):
+``available_engines()``, so a newly registered engine joins the matrix
+automatically and cannot ship unpinned):
 
 * identical Steiner tree — same edge triples, same total weight — on
   every topology × weight-regime × rank-count cell;
 * bit-identical BSP counters (``n_visits``, ``n_messages_local``,
   ``n_messages_remote``, ``bytes_sent``, ``peak_queue_total``) and
   superstep counts across the whole BSP family (``bsp``,
-  ``bsp-batched``, ``bsp-native``), with ``sim_time`` equal to float
-  round-off.
+  ``bsp-batched``), with ``sim_time`` equal to float round-off.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from repro.core.config import SolverConfig
 from repro.core.solver import DistributedSteinerSolver
 from repro.graph.generators import grid_graph
 from repro.graph.weights import assign_uniform_weights
-from repro.runtime.engines import available_engines, engine_availability
+from repro.runtime.engines import available_engines
 from tests.conftest import component_seeds, make_connected_graph
 
 #: the engine counters that must match bit-for-bit across the BSP family
@@ -43,18 +42,7 @@ COUNTERS = (
 
 #: engines that share the bulk-synchronous superstep semantics: their
 #: counters are bit-identical, not merely their converged state
-BSP_FAMILY = ("bsp", "bsp-batched", "bsp-native")
-
-
-def registered_engines() -> list[str]:
-    """Every engine the registry can actually construct, in the
-    deterministic listing order — the matrix's engine axis."""
-    records = engine_availability()
-    return [
-        name
-        for name in available_engines()
-        if records[name]["status"] != "unavailable"
-    ]
+BSP_FAMILY = ("bsp", "bsp-batched")
 
 
 def solve_with(graph, seeds, engine, n_ranks=6, **cfg):
@@ -84,7 +72,7 @@ def assert_conformance(graph, seeds, n_ranks=6, engines=None, **cfg):
     are legitimately schedule-dependent, the paper's own Fig. 5/6
     effect).  Returns the per-engine results for extra assertions.
     """
-    names = list(engines) if engines is not None else registered_engines()
+    names = list(engines) if engines is not None else available_engines()
     results = {
         engine: solve_with(graph, seeds, engine, n_ranks=n_ranks, **cfg)
         for engine in names
@@ -165,12 +153,7 @@ class TestConformanceMatrix:
     def test_matrix_covers_every_registered_engine(self):
         """The engine axis is *discovered*, never hand-listed: a new
         registry entry joins the matrix or this test names it."""
-        names = registered_engines()
-        assert set(names) >= {
-            "async-heap",
-            "bsp",
-            "bsp-batched",
-            "bsp-native",
-        }
+        names = available_engines()
+        assert set(names) >= {"async-heap", "bsp", "bsp-batched"}
         # and the family split is total over the discovered axis
         assert all(n in BSP_FAMILY or n == "async-heap" for n in names)

@@ -254,7 +254,7 @@ class TestRegistry:
     def test_default_listed_first(self):
         names = available_engines()
         assert names[0] == DEFAULT_ENGINE == "async-heap"
-        assert {"bsp", "bsp-batched", "bsp-native"} <= set(names)
+        assert {"bsp", "bsp-batched"} <= set(names)
         # deterministic iteration order (the reproducible-bench clause):
         # default first, everything else alphabetical
         assert names[1:] == sorted(names[1:])

@@ -90,12 +90,19 @@ class TestDistributedMatchesSequential:
 
     def test_run_to_run_determinism(self, skewed_graph):
         seeds = component_seeds(skewed_graph, 6, seed=4)
-        solver = DistributedSteinerSolver(skewed_graph, SolverConfig(n_ranks=4))
-        a = solver.solve(seeds)
-        b = solver.solve(seeds)
-        assert np.array_equal(a.edges, b.edges)
-        assert a.message_count() == b.message_count()
-        assert a.sim_time() == pytest.approx(b.sim_time())
+        for backend in (None, "delta-numpy"):
+            solver = DistributedSteinerSolver(
+                skewed_graph, SolverConfig(n_ranks=4, voronoi_backend=backend)
+            )
+            a = solver.solve(seeds)
+            b = solver.solve(seeds)
+            assert np.array_equal(a.edges, b.edges)
+            assert a.message_count() == b.message_count()
+            assert a.sim_time() == pytest.approx(b.sim_time())
+            if backend is not None:
+                # a backend sweep is not simulated: no host seconds leak
+                # into the model time
+                assert a.phases[0].sim_time == 0.0
 
 
 class TestDistributedResult:
