@@ -9,6 +9,7 @@ from repro.core.config import SolverConfig
 from repro.core.solver import DistributedSteinerSolver
 from repro.harness.datasets import load_dataset
 from repro.seeds.selection import select_seeds
+from repro.shortest_paths.backends import available_backends, get_backend
 from repro.shortest_paths.multisource import (
     compute_voronoi_cells_delta_stepping,
     compute_voronoi_cells_spfa,
@@ -81,27 +82,13 @@ def test_near_shortest_exploration(benchmark, epsilon):
     benchmark.extra_info["n_edges"] = result.n_edges
 
 
-@pytest.mark.parametrize("backend", ["heap", "scipy"])
+@pytest.mark.parametrize("backend", available_backends())
 def test_voronoi_backends(benchmark, seeds_cache, backend):
-    """Pure-Python heap sweep vs SciPy compiled multi-source Dijkstra
-    (bit-identical output; the speedup grows with graph size)."""
-    from repro.shortest_paths.scipy_backend import compute_voronoi_cells_scipy
-    from repro.shortest_paths.voronoi import (
-        canonicalize_predecessors,
-        compute_voronoi_cells,
-    )
-
+    """The registered sweep backends: the pure-Python ``dijkstra``
+    reference vs the vectorised ``delta-numpy`` (bit-identical output;
+    the speedup grows with graph size)."""
     graph = load_dataset("WDC")
     seeds = seeds_cache("WDC", K)
-
-    def heap_run():
-        vd = compute_voronoi_cells(graph, seeds)
-        vd.pred = canonicalize_predecessors(graph, vd.src, vd.dist)
-        return vd
-
-    fn = heap_run if backend == "heap" else (
-        lambda: compute_voronoi_cells_scipy(graph, seeds)
-    )
     benchmark.group = "voronoi backend WDC |S|=30"
     benchmark.extra_info["backend"] = backend
-    benchmark.pedantic(fn, rounds=2, iterations=1)
+    benchmark.pedantic(get_backend(backend), args=(graph, seeds), rounds=2, iterations=1)

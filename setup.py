@@ -14,7 +14,6 @@ setup(
     python_requires=">=3.10",
     install_requires=["numpy"],
     extras_require={
-        "scipy": ["scipy"],
         "docs": ["mkdocs", "mkdocs-material", "mkdocstrings[python]"],
     },
     entry_points={

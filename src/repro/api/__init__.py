@@ -32,13 +32,12 @@ True
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import replace as _dc_replace
+from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.api import schema
 from repro.api.schema import SCHEMA_VERSION
-from repro.core.config import CONFIG_FIELD_ALIASES, SolverConfig
+from repro.core.config import SolverConfig
 from repro.core.result import SteinerTreeResult
 from repro.core.sequential import sequential_steiner_tree
 from repro.core.solver import DistributedSteinerSolver
@@ -68,29 +67,6 @@ def _as_graph(graph: "CSRGraph | str") -> "CSRGraph":
     return graph
 
 
-def _apply_overrides(config: SolverConfig, overrides: dict[str, Any]) -> SolverConfig:
-    """``dataclasses.replace`` with the deprecated alias spellings of
-    :data:`CONFIG_FIELD_ALIASES` accepted (warning) — the override path
-    of :meth:`Session.solve`."""
-    resolved: dict[str, Any] = {}
-    for key, value in overrides.items():
-        if key in CONFIG_FIELD_ALIASES:
-            canonical = CONFIG_FIELD_ALIASES[key]
-            warnings.warn(
-                f"SolverConfig keyword {key!r} is deprecated; use {canonical!r}",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            key = canonical
-        if key in resolved:
-            raise TypeError(
-                f"SolverConfig field {key!r} given twice "
-                f"(canonical name and deprecated alias)"
-            )
-        resolved[key] = value
-    return _dc_replace(config, **resolved) if resolved else config
-
-
 def solve(
     graph: "CSRGraph | str",
     seeds: Sequence[int],
@@ -111,8 +87,8 @@ def solve(
         The terminal set ``S`` (distinct vertex ids).
     config / config_kwargs:
         Either a ready :class:`SolverConfig` or its fields as keywords
-        (``engine=...``, ``voronoi_backend=...``, ``n_ranks=...``;
-        deprecated spellings are accepted with a warning).  The default
+        (``engine=...``, ``voronoi_backend=...``, ``n_ranks=...``); an
+        unknown keyword raises :class:`TypeError`.  The default
         configuration simulates the paper-faithful asynchronous
         runtime; pass ``voronoi_backend="delta-numpy"`` for the fast
         vectorised sweep — the tree is identical either way.
@@ -172,11 +148,7 @@ class Session:
                 f"arguments, not both: {sorted(config_kwargs)}"
             )
         self.graph = _as_graph(graph)
-        self.config = (
-            config
-            if config is not None
-            else SolverConfig.from_kwargs(**config_kwargs)
-        )
+        self.config = config if config is not None else SolverConfig(**config_kwargs)
         self.cache = cache
         self._solvers: dict[str, DistributedSteinerSolver] = {}
         self._closed = False
@@ -200,10 +172,9 @@ class Session:
         """Solve one terminal set on the warm graph state.
 
         ``overrides`` are :class:`SolverConfig` fields replacing the
-        session defaults for this call only (deprecated alias spellings
-        accepted with a warning).
+        session defaults for this call only.
         """
-        config = _apply_overrides(self.config, overrides)
+        config = replace(self.config, **overrides) if overrides else self.config
         return self.solver_for(config).solve(seeds)
 
     # ------------------------------------------------------------------ #

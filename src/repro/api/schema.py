@@ -5,8 +5,7 @@ the library emits: the ``repro-steiner serve`` line-delimited protocol
 (:mod:`repro.serve.protocol`), :meth:`SteinerTreeResult.to_json
 <repro.core.result.SteinerTreeResult.to_json>`, and the experiment
 reports' machine-readable form all build their payloads here, so a
-field rename happens in exactly one place and is always accompanied by
-a legacy alias.
+field rename happens in exactly one place.
 
 Request payload (``schema_version`` 1)
 --------------------------------------
@@ -21,9 +20,8 @@ Request payload (``schema_version`` 1)
 ``op`` defaults to ``"solve"``; the serve loop also accepts ``"ping"``,
 ``"stats"``, ``"graphs"``, ``"health"``, ``"drain"`` and
 ``"shutdown"``.  ``config`` holds
-:class:`~repro.core.config.SolverConfig` field names (legacy spellings
-such as ``ranks``/``queue``/``backend`` are accepted through
-:meth:`SolverConfig.from_kwargs` with a :class:`DeprecationWarning`).
+:class:`~repro.core.config.SolverConfig` field names.  A request with
+any other top-level field is rejected with :class:`SchemaError`.
 ``deadline_ms`` (optional, solve only) bounds how long the request may
 wait + run: past it the service answers with a structured ``timeout``
 error instead of a result — it never hangs.
@@ -50,22 +48,12 @@ The ``result`` object is exactly :func:`result_payload`: ``seeds``,
 ``edges`` (``[u, v, w]`` rows, ``u < v``), ``total_distance``,
 ``n_edges``, ``wall_time_s``, ``sim_time_s``, ``phases`` and
 ``provenance`` (cache/batching counters — see ``docs/serve.md``).
-
-Legacy field names
-------------------
-
-Earlier ad-hoc dumps used ``request_id``/``terminals``/``dataset`` in
-requests and ``total``/``tree_edges`` in result dicts.
-:func:`parse_request` and :func:`upgrade_result_payload` accept them,
-emit a :class:`DeprecationWarning`, and normalise to the canonical
-names above.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Mapping
 
 if TYPE_CHECKING:
@@ -80,7 +68,6 @@ __all__ = [
     "parse_request",
     "response_payload",
     "result_payload",
-    "upgrade_result_payload",
 ]
 
 #: current wire-format version; bump on incompatible field changes
@@ -88,22 +75,6 @@ SCHEMA_VERSION = 1
 
 #: request operations the serve loop understands
 KNOWN_OPS = ("solve", "ping", "stats", "graphs", "health", "drain", "shutdown")
-
-#: legacy request field -> canonical field (pre-schema ad-hoc dumps)
-_LEGACY_REQUEST_FIELDS = {
-    "request_id": "id",
-    "terminals": "seeds",
-    "dataset": "graph",
-    "options": "config",
-}
-
-#: legacy result field -> canonical field
-_LEGACY_RESULT_FIELDS = {
-    "total": "total_distance",
-    "tree_edges": "edges",
-    "terminals": "seeds",
-    "wall_time": "wall_time_s",
-}
 
 
 class SchemaError(ValueError):
@@ -138,8 +109,8 @@ class SolveRequest:
     """One parsed protocol request.
 
     ``config`` holds raw :class:`~repro.core.config.SolverConfig`
-    overrides (field names or their deprecated aliases); it is resolved
-    against the server's default configuration at execution time.
+    field overrides; the service applies them to its default
+    configuration when the request is submitted.
     """
 
     id: str
@@ -168,28 +139,20 @@ class SolveRequest:
         return payload
 
 
+#: the top-level fields a request may carry
+_REQUEST_FIELDS = frozenset(f.name for f in fields(SolveRequest))
+
+
 def parse_request(payload: Mapping[str, Any]) -> SolveRequest:
     """Validate and normalise a request dict into a :class:`SolveRequest`.
 
-    Accepts the legacy field spellings (``request_id``, ``terminals``,
-    ``dataset``, ``options``) with a :class:`DeprecationWarning`; raises
-    :class:`SchemaError` on malformed payloads or a ``schema_version``
-    newer than this library understands.
+    Raises :class:`SchemaError` on malformed payloads, on a field that is
+    not a :class:`SolveRequest` field, or on a ``schema_version`` newer
+    than this library understands.
     """
     if not isinstance(payload, Mapping):
         raise SchemaError(f"request must be a JSON object, got {type(payload).__name__}")
     data = dict(payload)
-    for old, new in _LEGACY_REQUEST_FIELDS.items():
-        if old in data:
-            if new in data:
-                raise SchemaError(f"request has both {old!r} and {new!r}")
-            warnings.warn(
-                f"request field {old!r} is deprecated; use {new!r}",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            data[new] = data.pop(old)
-
     version = data.get("schema_version", SCHEMA_VERSION)
     if not isinstance(version, int) or version < 1:
         raise SchemaError(f"invalid schema_version {version!r}")
@@ -197,6 +160,11 @@ def parse_request(payload: Mapping[str, Any]) -> SolveRequest:
         raise SchemaError(
             f"request schema_version {version} is newer than the supported "
             f"version {SCHEMA_VERSION}"
+        )
+    unknown = sorted(set(data) - _REQUEST_FIELDS)
+    if unknown:
+        raise SchemaError(
+            f"unknown request field(s) {unknown}; known: {sorted(_REQUEST_FIELDS)}"
         )
 
     req_id = data.get("id")
@@ -286,30 +254,6 @@ def result_payload(result: SteinerTreeResult) -> dict[str, Any]:
             "total_bytes": int(result.memory.total_bytes),
         }
     return payload
-
-
-def upgrade_result_payload(payload: Mapping[str, Any]) -> dict[str, Any]:
-    """Normalise a result dict that may use pre-schema field names.
-
-    ``total`` -> ``total_distance``, ``tree_edges`` -> ``edges``,
-    ``terminals`` -> ``seeds``, ``wall_time`` -> ``wall_time_s``; each
-    legacy name triggers a :class:`DeprecationWarning`.  Canonical
-    payloads pass through unchanged (minus a ``schema_version`` stamp
-    added when absent).
-    """
-    data = dict(payload)
-    for old, new in _LEGACY_RESULT_FIELDS.items():
-        if old in data:
-            if new in data:
-                raise SchemaError(f"result has both {old!r} and {new!r}")
-            warnings.warn(
-                f"result field {old!r} is deprecated; use {new!r}",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            data[new] = data.pop(old)
-    data.setdefault("schema_version", SCHEMA_VERSION)
-    return data
 
 
 def response_payload(

@@ -30,18 +30,11 @@ from repro.shortest_paths.voronoi import compute_voronoi_cells
 __all__ = ["mehlhorn_steiner_tree"]
 
 
-def mehlhorn_steiner_tree(
-    graph: CSRGraph,
-    seeds: Sequence[int],
-    *,
-    backend: str | None = None,
-) -> SteinerTreeResult:
+def mehlhorn_steiner_tree(graph: CSRGraph, seeds: Sequence[int]) -> SteinerTreeResult:
     """Compute a 2-approximate Steiner tree with Mehlhorn's algorithm.
 
-    ``backend`` selects the multi-source sweep kernel (any name from
-    :mod:`repro.shortest_paths.backends`); ``None`` keeps the in-module
-    heap reference.  The sweep is this algorithm's asymptotic cost, so
-    the knob matters on large instances.
+    The sweep is the heap reference
+    (:func:`~repro.shortest_paths.voronoi.compute_voronoi_cells`).
     """
     t0 = time.perf_counter()
     seeds_arr = validate_seed_set(graph, seeds)
@@ -50,7 +43,7 @@ def mehlhorn_steiner_tree(
         return finalize_tree(graph, seeds_arr, seeds_arr, t0=t0)
 
     # Voronoi cells + distance graph G'1
-    vd = compute_voronoi_cells(graph, seeds_arr, backend=backend)
+    vd = compute_voronoi_cells(graph, seeds_arr)
     dg = build_distance_graph(graph, seeds_arr, vd.src, vd.dist)
     si, ti = dg.seed_indices()
     mst_idx = kruskal_mst(k, si, ti, dg.dprime)

@@ -4,24 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from dataclasses import dataclass, field, fields
 from typing import Any, Optional
 
 from repro.runtime.cost_model import MachineModel
 from repro.runtime.queues import QueueDiscipline
 
-__all__ = ["SolverConfig", "CONFIG_FIELD_ALIASES", "FINGERPRINT_EXCLUSIONS"]
-
-#: deprecated kwarg spelling -> canonical :class:`SolverConfig` field.
-#: These are the historical CLI-flag names that drifted from the config
-#: field names; :meth:`SolverConfig.from_kwargs` accepts them with a
-#: :class:`DeprecationWarning` so old call sites keep working.
-CONFIG_FIELD_ALIASES = {
-    "ranks": "n_ranks",
-    "queue": "discipline",
-    "backend": "voronoi_backend",
-}
+__all__ = ["SolverConfig", "FINGERPRINT_EXCLUSIONS"]
 
 #: The documented exclusion set of :meth:`SolverConfig.fingerprint` —
 #: ``{field name: why excluding it is sound}``.  This is *data shared by
@@ -33,8 +22,6 @@ CONFIG_FIELD_ALIASES = {
 #: A field belongs here iff changing it can never change a correct
 #: run's *results* — only how they are computed.
 FINGERPRINT_EXCLUSIONS: dict[str, str] = {
-    "bsp": "derived mirror of `engine` (set in __post_init__); the "
-    "engine field itself is fingerprinted",
     "fault_plan": "only the serve tier consumes it, and its faults never "
     "reach a solve: a torn cache write is quarantined and re-solved, a "
     "dropped connection loses only the response (docs/robustness.md), "
@@ -63,7 +50,8 @@ class SolverConfig:
         Degree above which a vertex's adjacency is striped across ranks
         (HavoqGT vertex-cut).  ``None`` disables delegates.
     machine:
-        Cost-model constants for the simulation.
+        Cost-model constants for the simulation; must be a
+        :class:`~repro.runtime.cost_model.MachineModel`.
     engine:
         Runtime engine the message-driven phases execute on — any name
         registered in :mod:`repro.runtime.engines`: ``"async-heap"``
@@ -73,10 +61,6 @@ class SolverConfig:
         identical semantics and message counts to ``"bsp"``, NumPy
         array operations instead of per-message Python).  Every engine
         converges to the identical Steiner tree.
-    bsp:
-        Deprecated alias: ``bsp=True`` selects ``engine="bsp"``.  After
-        construction the field reflects whether the chosen engine is
-        bulk-synchronous.
     collect_diagram:
         Attach the full Voronoi diagram arrays to the result (useful for
         inspection/tests; costs O(|V|) memory in the result object).
@@ -102,11 +86,11 @@ class SolverConfig:
         ``None`` (default) simulates the Voronoi Cell phase on the
         message-driven engine — the paper-faithful path that produces
         the per-phase message counts behind Figs. 3-6.  Any registered
-        name from :mod:`repro.shortest_paths.backends` (``"dijkstra"``,
-        ``"delta-numpy"``, ``"scipy"``, ...) instead computes the
-        identical ``(src, pred, dist)`` fixpoint with that sequential
-        kernel — the fast path for workloads that need the tree, not
-        the message trace.  The phase is then not simulated: its
+        name from :mod:`repro.shortest_paths.backends` (``"dijkstra"``
+        or ``"delta-numpy"``) instead computes the identical
+        ``(src, pred, dist)`` fixpoint with that sequential kernel — the
+        fast path for workloads that need the tree, not the message
+        trace.  The phase is then not simulated: its
         ``sim_time`` is ``0.0`` and it sends no messages.
     fault_plan:
         Deterministic chaos: a :class:`repro.faults.FaultPlan` whose
@@ -123,7 +107,6 @@ class SolverConfig:
     delegate_threshold: Optional[int] = None
     machine: MachineModel = field(default_factory=MachineModel)
     engine: str = "async-heap"
-    bsp: bool = False
     collect_diagram: bool = False
     max_events: Optional[int] = None
     collective_chunk_elements: Optional[int] = None
@@ -141,55 +124,21 @@ class SolverConfig:
             and self.collective_chunk_elements < 1
         ):
             raise ValueError("collective_chunk_elements must be >= 1")
+        if not isinstance(self.machine, MachineModel):
+            # fingerprint() flattens the model's dataclass fields, so a
+            # stray value would only fail later, far from its source
+            raise TypeError(
+                f"machine must be a MachineModel, got {type(self.machine).__name__}"
+            )
         object.__setattr__(self, "discipline", QueueDiscipline(self.discipline))
-        # the legacy bsp flag is an alias for engine="bsp"; afterwards
-        # the field mirrors whether the engine is bulk-synchronous
-        from repro.runtime.engines import get_engine as _get_engine
+        from repro.runtime.engines import get_engine
 
-        if self.bsp and self.engine == "async-heap":
-            object.__setattr__(self, "engine", "bsp")
-        _get_engine(self.engine)  # fail fast on typos
-        object.__setattr__(self, "bsp", self.engine.startswith("bsp"))
+        get_engine(self.engine)  # fail fast on typos
         if self.voronoi_backend is not None:
             # fail fast on typos rather than deep inside solve()
             from repro.shortest_paths.backends import get_backend
 
             get_backend(self.voronoi_backend)
-
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_kwargs(cls, **kwargs: Any) -> "SolverConfig":
-        """Build a config from keyword arguments, accepting the
-        deprecated alias spellings in :data:`CONFIG_FIELD_ALIASES`.
-
-        The canonical names are the dataclass field names; ``ranks``,
-        ``queue`` and ``backend`` (the historical CLI-flag spellings)
-        are mapped onto ``n_ranks``, ``discipline`` and
-        ``voronoi_backend`` with a :class:`DeprecationWarning`.  Passing
-        both an alias and its canonical field raises :class:`TypeError`;
-        so does any unknown keyword.
-        """
-        resolved: dict[str, Any] = {}
-        field_names = {f.name for f in fields(cls)}
-        for key, value in kwargs.items():
-            if key in CONFIG_FIELD_ALIASES:
-                canonical = CONFIG_FIELD_ALIASES[key]
-                warnings.warn(
-                    f"SolverConfig keyword {key!r} is deprecated; "
-                    f"use {canonical!r}",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-                key = canonical
-            if key not in field_names:
-                raise TypeError(f"unknown SolverConfig field {key!r}")
-            if key in resolved:
-                raise TypeError(
-                    f"SolverConfig field {key!r} given twice "
-                    f"(canonical name and deprecated alias)"
-                )
-            resolved[key] = value
-        return cls(**resolved)
 
     # ------------------------------------------------------------------ #
     def fingerprint_material(self) -> dict[str, Any]:
@@ -225,12 +174,12 @@ class SolverConfig:
         configurations share a fingerprint iff a cached result computed
         under one is valid for the other.  Every dataclass field except
         the documented :data:`FINGERPRINT_EXCLUSIONS` participates — the
-        derived ``bsp`` mirror and the serve-tier ``fault_plan`` never
-        change a correct run's results, so results cached under one
-        setting are valid under any other.  The machine model is
-        flattened into its constants, values are canonicalised (enum ->
-        value) and serialised with sorted keys, so the digest is
-        independent of field ordering and of dict-insertion order.
+        serve-tier ``fault_plan`` never changes a correct run's results,
+        so results cached under one plan are valid under any other.  The
+        machine model is flattened into its constants, values are
+        canonicalised (enum -> value) and serialised with sorted keys, so
+        the digest is independent of field ordering and of dict-insertion
+        order.
         """
         blob = json.dumps(self.fingerprint_material(), sort_keys=True, default=str)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]

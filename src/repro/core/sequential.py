@@ -12,16 +12,14 @@ and is the library's primary correctness anchor.
 
 :func:`steiner_tree_from_diagram` is the downstream half (steps 2-6) on
 its own: given a converged Voronoi diagram it deterministically produces
-the tree.  The serve layer's request batcher relies on this split — a
-fused multi-source sweep yields per-request diagrams, and each request's
-tree is assembled by exactly this code, so batched results are
-bit-identical to independent solves by construction.
+the tree.  (The serve batcher takes the other route into a precomputed
+diagram: it hands each fused-sweep diagram to
+``DistributedSteinerSolver.solve(seeds, diagram=...)``.)
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
@@ -39,9 +37,6 @@ from repro.seeds.selection import validate_seed_set
 from repro.shortest_paths.backends import get_backend
 
 __all__ = ["sequential_steiner_tree", "steiner_tree_from_diagram"]
-
-#: historical names predating the backend registry
-_BACKEND_ALIASES = {"heap": "dijkstra"}
 
 
 def steiner_tree_from_diagram(
@@ -109,8 +104,7 @@ def sequential_steiner_tree(
     graph: "CSRGraph",
     seeds: Sequence[int],
     *,
-    voronoi_backend: str | None = None,
-    backend: str | None = None,
+    voronoi_backend: str = "delta-numpy",
 ) -> SteinerTreeResult:
     """2-approximate Steiner minimal tree, shared-memory reference.
 
@@ -119,47 +113,25 @@ def sequential_steiner_tree(
     Parameters
     ----------
     voronoi_backend:
-        Voronoi-cell kernel — any name registered in
-        :mod:`repro.shortest_paths.backends` (``"dijkstra"``,
-        ``"delta-numpy"``, ``"scipy"``, ...), matching the
+        Voronoi-cell kernel — a name registered in
+        :mod:`repro.shortest_paths.backends` (``"dijkstra"`` or
+        ``"delta-numpy"``), matching the
         :class:`~repro.core.config.SolverConfig` field of the same
-        name.  ``"heap"`` is kept as an alias for the ``"dijkstra"``
-        reference.  Every backend yields the identical diagram, hence
-        the identical tree; the choice is purely a performance
-        decision — the default is the vectorised ``"delta-numpy"``
-        kernel (~5-6x the heap reference on 100K-edge graphs,
-        bit-identical output).
-    backend:
-        Deprecated spelling of ``voronoi_backend`` (kept with a
-        :class:`DeprecationWarning` so pre-facade call sites keep
-        working).
+        name.  Every backend yields the identical diagram, hence the
+        identical tree; the choice is purely a performance decision —
+        the default is the vectorised ``"delta-numpy"`` kernel (~6-8x
+        the heap reference on 100K-edge graphs, bit-identical output).
 
     Raises
     ------
     DisconnectedSeedsError
         If the seeds are not mutually reachable.
     """
-    if backend is not None:
-        if voronoi_backend is not None:
-            raise TypeError(
-                "pass voronoi_backend only (backend is its deprecated alias)"
-            )
-        warnings.warn(
-            "sequential_steiner_tree(backend=...) is deprecated; "
-            "use voronoi_backend=... (the SolverConfig field name)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        voronoi_backend = backend
-    if voronoi_backend is None:
-        voronoi_backend = "delta-numpy"
-
     t0 = time.perf_counter()
     seeds_arr = validate_seed_set(graph, seeds)
-    resolved = _BACKEND_ALIASES.get(voronoi_backend, voronoi_backend)
 
     # Step 1: Voronoi cells (src, pred, dist per vertex)
-    vd = get_backend(resolved)(graph, seeds_arr)
+    vd = get_backend(voronoi_backend)(graph, seeds_arr)
 
     # Steps 2-6: shared deterministic assembly
     edges, total = steiner_tree_from_diagram(
@@ -173,5 +145,5 @@ def sequential_steiner_tree(
         phases=[],
         wall_time_s=time.perf_counter() - t0,
         diagram=vd,
-        provenance={"backend": resolved, "cache_hit": False},
+        provenance={"backend": voronoi_backend, "cache_hit": False},
     )

@@ -75,10 +75,7 @@ class DistributedSteinerSolver:
     ----------
     config:
         A ready :class:`SolverConfig`; alternatively pass its fields as
-        keyword arguments (resolved via
-        :meth:`SolverConfig.from_kwargs`, so the deprecated
-        ``ranks``/``queue``/``backend`` spellings still work, with a
-        warning).  Mixing both raises :class:`TypeError`.
+        keyword arguments.  Mixing both raises :class:`TypeError`.
     cache:
         Optional result cache (duck-typed —
         :class:`repro.serve.cache.SolveCache` is the shipped
@@ -104,11 +101,7 @@ class DistributedSteinerSolver:
                 f"arguments, not both: {sorted(config_kwargs)}"
             )
         self.graph = graph
-        self.config = (
-            config
-            if config is not None
-            else SolverConfig.from_kwargs(**config_kwargs)
-        )
+        self.config = config if config is not None else SolverConfig(**config_kwargs)
         self.cache = cache
         partition_fn = (
             block_partition if self.config.partition == "block" else hash_partition
@@ -416,9 +409,7 @@ def distributed_steiner_tree(
     :class:`DistributedSteinerSolver`.
 
     Configuration may be given as a ready :class:`SolverConfig` *or* as
-    keyword arguments in its field names (deprecated alias spellings
-    are accepted with a warning — see
-    :meth:`SolverConfig.from_kwargs`).
+    keyword arguments in its field names.
     """
     return DistributedSteinerSolver(
         graph, config, cache=cache, **config_kwargs

@@ -11,7 +11,7 @@ Subcommands
     each report — the command behind EXPERIMENTS.md.
 ``solve --dataset LVJ --seeds 30 [--ranks 16] [--queue priority]
 [--engine async-heap|bsp|bsp-batched]
-[--backend simulate|dijkstra|delta-numpy|scipy|...]``
+[--backend simulate|dijkstra|delta-numpy]``
     One-off solve on a stand-in dataset, printing the tree summary and
     the phase breakdown.  ``--engine`` picks the runtime engine the
     message-driven phases execute on; ``--backend simulate`` (default)
@@ -29,11 +29,9 @@ Subcommands
     ``--tcp`` listens on a socket instead (``:0`` picks a free port,
     printed on startup).
 ``backends [--bench] [--dataset LVJ] [--seeds 30]``
-    List the registered multi-source shortest-path backends — each with
-    its availability (``available`` / ``unavailable``, plus the
-    import-failure reason for an optional backend such as ``scipy``);
-    with ``--bench``, time each one on the chosen instance and verify
-    they agree bit-for-bit.
+    List the registered multi-source shortest-path backends, one line
+    each; with ``--bench``, time each one on the chosen instance and
+    verify they agree bit-for-bit.
 ``check [PATHS...] [--format text|json] [--show-suppressed]
 [--files-only] [--list-rules]``
     Run the repo-invariant static-analysis pass (``docs/analysis.md``):
@@ -196,22 +194,13 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_backends(args) -> int:
-    from repro.shortest_paths.backends import (
-        backend_availability,
-        backend_help,
-        compute_multisource,
-    )
+    from repro.shortest_paths.backends import backend_help, compute_multisource
 
-    if not args.bench:
-        # an optional backend that failed to register gets a second,
-        # indented line with the import-failure reason
-        for name, record in backend_availability().items():
-            status = record["status"]
-            print(f"{name:16s} {status:12s} {record['help']}")
-            if status == "unavailable":
-                print(f"{'':16s} {'':12s} -> not registered ({record['reason']})")
-        return 0
     help_by_name = backend_help()
+    if not args.bench:
+        for name, help_text in help_by_name.items():
+            print(f"{name:16s} {help_text}")
+        return 0
 
     from repro.harness.datasets import load_dataset
     from repro.harness.reporting import fmt_time

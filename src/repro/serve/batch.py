@@ -12,10 +12,10 @@ never interact, and the fixpoint is unique — so batched results are
 **bit-identical** to sequential ones (property-tested in
 ``tests/test_serve.py``).
 
-Why fuse at all?  The vectorised kernels (``delta-numpy``, ``scipy``)
-pay a fixed NumPy/SciPy dispatch overhead per relaxation wave; stacking
-R requests amortises that overhead over R components that settle in the
-same waves.  The stacked graph costs R× the CSR memory for the duration
+Why fuse at all?  The vectorised ``delta-numpy`` kernel pays a fixed
+NumPy dispatch overhead per relaxation wave; stacking R requests
+amortises that overhead over R components that settle in the same
+waves.  The stacked graph costs R× the CSR memory for the duration
 of the sweep — the service bounds R with its ``max_batch`` knob.
 
 This is the ROADMAP's "multi-tenant" shape: the fused instance is a

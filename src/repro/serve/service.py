@@ -38,7 +38,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
-from repro.api import Session, _apply_overrides
+from repro.api import Session
 from repro.api.schema import SolveRequest, parse_request
 from repro.core.config import SolverConfig
 from repro.core.result import SteinerTreeResult
@@ -239,7 +239,7 @@ class SolverService:
             )
         if config is None:
             config_kwargs.setdefault("voronoi_backend", "delta-numpy")
-            config = SolverConfig.from_kwargs(**config_kwargs)
+            config = SolverConfig(**config_kwargs)
         self.config = config
         #: the deterministic chaos schedule every serve-tier consumer
         #: (cache corruption, TCP connection drops) draws from
@@ -330,7 +330,9 @@ class SolverService:
         self.counters.requests += 1
         assert request.graph is not None  # parse_request enforces this
         self._session_for(request.graph)  # load/validate before queueing
-        config = _apply_overrides(self.config, dict(request.config))
+        config = (
+            replace(self.config, **request.config) if request.config else self.config
+        )
         pending = _Pending(request, config, request.graph, on_done)
         with self._cv:
             if self._closed:

@@ -36,7 +36,6 @@ from repro.shortest_paths.near_shortest import (
     path_dag,
     shortest_path_edges,
 )
-from repro.shortest_paths.scipy_backend import compute_voronoi_cells_scipy
 from repro.shortest_paths.vectorized import compute_voronoi_cells_delta_numpy
 
 __all__ = [
@@ -53,7 +52,6 @@ __all__ = [
     "compute_voronoi_cells",
     "compute_voronoi_cells_delta_numpy",
     "compute_voronoi_cells_delta_stepping",
-    "compute_voronoi_cells_scipy",
     "compute_voronoi_cells_spfa",
     "delta_stepping",
     "dijkstra",

@@ -1,9 +1,9 @@
 """Pluggable multi-source shortest-path backends.
 
-Every consumer of the Voronoi-cell sweep — the sequential solver, the
-baselines, the experiment harness, the CLI — funnels through this
-registry, so a single ``backend="..."`` knob switches the kernel that
-dominates the paper's runtime (§II, Table 1) everywhere at once.
+The sequential solver, the experiment harness and the CLI run the
+Voronoi-cell sweep through this registry, and
+:attr:`SolverConfig.voronoi_backend <repro.core.config.SolverConfig>`
+picks the kernel that dominates the paper's runtime (§II, Table 1).
 
 Contract
 --------
@@ -32,21 +32,15 @@ Registered backends
     (:func:`~repro.shortest_paths.voronoi.compute_voronoi_cells`).
 ``delta-numpy``
     Vectorised bucket-synchronous Δ-stepping on the raw CSR arrays
-    (:mod:`repro.shortest_paths.vectorized`) — the fast default for
-    large graphs.
-``scipy``
-    ``scipy.sparse.csgraph``-accelerated sweep
-    (:mod:`repro.shortest_paths.scipy_backend`); optional, registered
-    only when SciPy is installed.  Registration looks SciPy up without
-    importing it; the first ``scipy`` sweep pays the import.
-``spfa`` / ``delta-python``
-    The queue-based Bellman–Ford and per-edge Δ-stepping ablation
-    kernels (:mod:`repro.shortest_paths.multisource`).
+    (:mod:`repro.shortest_paths.vectorized`) — the fast path.
+
+The SPFA and per-edge Δ-stepping kernels of the paper's §III ablation
+(:mod:`repro.shortest_paths.multisource`) are not registered: the
+ablation calls them directly.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Sequence
@@ -64,12 +58,10 @@ __all__ = [
     "DEFAULT_BACKEND",
     "MultiSourceResult",
     "available_backends",
-    "backend_availability",
     "backend_help",
     "compute_multisource",
     "get_backend",
     "register_backend",
-    "register_unavailable_backend",
     "verify_backends_agree",
 ]
 
@@ -80,10 +72,6 @@ DEFAULT_BACKEND = "dijkstra"
 
 _REGISTRY: dict[str, BackendFn] = {}
 _HELP: dict[str, str] = {}
-#: name -> import-failure reason of an optional backend that could not
-#: register — the listing-only ``unavailable`` entries behind
-#: ``repro-steiner backends``
-_UNAVAILABLE: dict[str, str] = {}
 
 
 @dataclass(frozen=True)
@@ -149,20 +137,6 @@ def register_backend(
     return deco
 
 
-def register_unavailable_backend(
-    name: str, help_text: str, reason: str
-) -> None:
-    """Record an optional backend that could not register at all.
-
-    The name stays *out* of the callable registry (``get_backend``
-    keeps failing fast), but :func:`backend_availability` and the CLI
-    listing show the entry with its import-failure reason instead of
-    silently omitting it.
-    """
-    _HELP[name] = help_text
-    _UNAVAILABLE[name] = reason
-
-
 def available_backends() -> list[str]:
     """Registered backend names, reference first, rest alphabetical."""
     rest = sorted(k for k in _REGISTRY if k != DEFAULT_BACKEND)
@@ -172,27 +146,6 @@ def available_backends() -> list[str]:
 def backend_help() -> dict[str, str]:
     """``{name: one-line description}`` for CLI listings."""
     return {name: _HELP.get(name, "") for name in available_backends()}
-
-
-def backend_availability() -> dict[str, dict]:
-    """Per-entry availability: ``{name: {status, reason, help}}``.
-
-    Registered (callable) entries first, in :func:`available_backends`
-    order, with status ``"available"``; ``"unavailable"`` listing-only
-    entries (optional backends whose import failed outright) follow
-    alphabetically, ``reason`` saying why.
-    """
-    out = {
-        name: {"status": "available", "reason": None, "help": help_text}
-        for name, help_text in backend_help().items()
-    }
-    for name in sorted(k for k in _UNAVAILABLE if k not in _REGISTRY):
-        out[name] = {
-            "status": "unavailable",
-            "reason": _UNAVAILABLE[name],
-            "help": _HELP.get(name, ""),
-        }
-    return out
 
 
 def get_backend(name: str) -> BackendFn:
@@ -270,66 +223,6 @@ def _delta_numpy_backend(
     from repro.shortest_paths.vectorized import compute_voronoi_cells_delta_numpy
 
     return compute_voronoi_cells_delta_numpy(graph, seeds, delta)
-
-
-@register_backend(
-    "spfa", "queue-based Bellman-Ford (the distributed kernel's basis)"
-)
-def _spfa_backend(graph: CSRGraph, seeds: Sequence[int]) -> VoronoiDiagram:
-    from repro.shortest_paths.multisource import compute_voronoi_cells_spfa
-
-    return compute_voronoi_cells_spfa(graph, seeds)
-
-
-@register_backend(
-    "delta-python", "per-edge Delta-stepping (sequential ablation kernel)"
-)
-def _delta_python_backend(
-    graph: CSRGraph, seeds: Sequence[int], delta: int | None = None
-) -> VoronoiDiagram:
-    from repro.shortest_paths.multisource import (
-        compute_voronoi_cells_delta_stepping,
-    )
-
-    return compute_voronoi_cells_delta_stepping(graph, seeds, delta)
-
-
-_SCIPY_HELP = (
-    "scipy.sparse.csgraph compiled multi-source Dijkstra "
-    "(int64-exact fallback for astronomical weights)"
-)
-
-# look SciPy up without importing it: the import alone would about
-# double the memory and start-up time of `import repro.api`
-if importlib.util.find_spec("scipy") is not None:
-
-    @register_backend("scipy", _SCIPY_HELP)
-    def _scipy_backend(graph: CSRGraph, seeds: Sequence[int]) -> VoronoiDiagram:
-        """SciPy sweep, guarded for exactness.
-
-        SciPy computes distances in float64, which is exact only while
-        every path sum stays below 2**53.  ``n * max_weight`` bounds any
-        shortest-path sum; past that bound the rounded distances break
-        the tight-edge equality the owner/predecessor passes rely on
-        (and hence the registry's bit-for-bit contract), so we delegate
-        to the integer-exact vectorised kernel instead.
-        """
-        if graph.n_arcs:
-            path_bound = int(graph.weights.max()) * max(1, graph.n_vertices - 1)
-            if path_bound >= 2**53:
-                from repro.shortest_paths.vectorized import (
-                    compute_voronoi_cells_delta_numpy,
-                )
-
-                return compute_voronoi_cells_delta_numpy(graph, seeds)
-        from repro.shortest_paths.scipy_backend import compute_voronoi_cells_scipy
-
-        return compute_voronoi_cells_scipy(graph, seeds)
-
-else:
-    register_unavailable_backend(
-        "scipy", _SCIPY_HELP, "ModuleNotFoundError: No module named 'scipy'"
-    )
 
 
 if TYPE_CHECKING:

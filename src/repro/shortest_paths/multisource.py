@@ -17,11 +17,11 @@ producing the *identical* fixpoint ``(src, dist)`` as the reference
 is a pure performance ablation — exercised by the kernel ablation bench
 and cross-checked by tests.
 
-Both kernels are also reachable through the backend registry
-(:mod:`repro.shortest_paths.backends`) as ``"spfa"`` and
-``"delta-python"``; the production-speed variant of the Δ-stepping
-schedule — NumPy bucket relaxations instead of this per-edge loop —
-lives in :mod:`repro.shortest_paths.vectorized` and is registered as
+Neither kernel is in the backend registry
+(:mod:`repro.shortest_paths.backends`): the ablation calls them
+directly.  The production-speed variant of the Δ-stepping schedule —
+NumPy bucket relaxations instead of this per-edge loop — lives in
+:mod:`repro.shortest_paths.vectorized` and is registered as
 ``"delta-numpy"``.
 """
 

@@ -106,34 +106,20 @@ def _validate_seeds(graph: CSRGraph, seeds: Sequence[int]) -> np.ndarray:
     return arr
 
 
-def compute_voronoi_cells(
-    graph: CSRGraph,
-    seeds: Sequence[int],
-    *,
-    backend: str | None = None,
-) -> VoronoiDiagram:
+def compute_voronoi_cells(graph: CSRGraph, seeds: Sequence[int]) -> VoronoiDiagram:
     """Compute the Voronoi diagram of ``seeds`` over ``graph``.
 
     Single multi-source Dijkstra: the heap is keyed ``(dist, src, vertex)``
     so equidistant claims resolve toward the smaller seed id, then the
     smaller vertex id — a total order, hence a deterministic diagram.
+    ``pred`` holds the sweep-order predecessors; the registry's
+    ``dijkstra`` backend (:mod:`repro.shortest_paths.backends`) wraps
+    this sweep and canonicalises them.
 
     Complexity ``O((|V| + |E|) log |V|)`` regardless of ``|S|`` — this
     independence from the seed count is exactly why the paper prefers
     Voronoi cells over APSP (its Table I).
-
-    Parameters
-    ----------
-    backend:
-        ``None`` (default) runs the inline heap sweep below and returns
-        the sweep-order predecessors.  Any registered name from
-        :mod:`repro.shortest_paths.backends` dispatches to that kernel
-        instead — same ``(dist, src)``, *canonical* predecessors.
     """
-    if backend is not None:
-        from repro.shortest_paths.backends import get_backend
-
-        return get_backend(backend)(graph, seeds)
     seeds_arr = _validate_seeds(graph, seeds)
     n = graph.n_vertices
     src: np.ndarray = np.full(n, NO_VERTEX, dtype=np.int64)

@@ -188,7 +188,7 @@ class TestFingerprintAudit:
         assert rules == ["REP201"]
 
     def test_missing_justification_is_rep203(self, monkeypatch):
-        monkeypatch.setitem(FINGERPRINT_EXCLUSIONS, "bsp", "   ")
+        monkeypatch.setitem(FINGERPRINT_EXCLUSIONS, "fault_plan", "   ")
         rules = [f.rule for f in check_fingerprint_coverage()]
         assert rules == ["REP203"]
 
@@ -217,13 +217,13 @@ class TestFingerprintAudit:
 
         def leaking(self):
             material = original(self)
-            material["bsp"] = self.bsp
+            material["fault_plan"] = self.fault_plan
             return material
 
         monkeypatch.setattr(SolverConfig, "fingerprint_material", leaking)
         findings = list(check_fingerprint_coverage())
         assert [f.rule for f in findings] == ["REP202"]
-        assert "bsp" in findings[0].message
+        assert "fault_plan" in findings[0].message
 
 
 # --------------------------------------------------------------------- #
@@ -267,7 +267,7 @@ class TestRegistryContracts:
 # fingerprint exclusions: the pinned regression (shared data)
 # --------------------------------------------------------------------- #
 class TestFingerprintExclusionRegression:
-    PINNED: ClassVar[set[str]] = {"bsp", "fault_plan"}
+    PINNED: ClassVar[set[str]] = {"fault_plan"}
 
     def test_exclusion_set_is_exactly_pinned(self):
         # Growing this set must be a reviewed decision: a new exclusion

@@ -1,5 +1,5 @@
-"""The ``repro.api`` facade: solve(), Session, configuration
-fingerprints and the kwarg-drift deprecation shims.
+"""The ``repro.api`` facade: solve(), Session and configuration
+fingerprints.
 
 The hypothesis blocks pin the ``SolverConfig.fingerprint`` contract the
 serve cache keys depend on: invariant under field ordering, sensitive
@@ -8,6 +8,8 @@ to every behaviour-affecting field.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -15,8 +17,10 @@ from hypothesis import strategies as st
 
 import repro.api as api
 from repro.api import Session, SolverConfig, solve
-from repro.core.config import CONFIG_FIELD_ALIASES
+from repro.baselines.mehlhorn import mehlhorn_steiner_tree
+from repro.core.sequential import sequential_steiner_tree
 from repro.core.solver import distributed_steiner_tree
+from repro.shortest_paths.voronoi import compute_voronoi_cells
 
 from tests.conftest import component_seeds
 
@@ -47,12 +51,6 @@ class TestSolveFacade:
             solve(
                 random_graph, [0, 1], config=SolverConfig(), n_ranks=4
             )
-
-    def test_deprecated_alias_kwargs_warn(self, random_graph):
-        seeds = component_seeds(random_graph, 3, seed=4)
-        with pytest.warns(DeprecationWarning, match="ranks"):
-            res = solve(random_graph, seeds, ranks=4)
-        assert res.total_distance == solve(random_graph, seeds, n_ranks=4).total_distance
 
     def test_unknown_kwarg_rejected(self, random_graph):
         with pytest.raises(TypeError, match="nope"):
@@ -91,13 +89,6 @@ class TestSession:
             session.solve([0, 1])
         session.close()  # idempotent
 
-    def test_override_alias_warns(self, random_graph):
-        seeds = component_seeds(random_graph, 3, seed=8)
-        with Session(random_graph) as session:
-            with pytest.warns(DeprecationWarning, match="queue"):
-                res = session.solve(seeds, queue="fifo")
-        assert res.total_distance > 0
-
     def test_session_cache_hits(self, random_graph):
         from repro.serve import SolveCache
 
@@ -135,8 +126,8 @@ class TestConfigFingerprint:
         """Building the same configuration with kwargs in any order
         yields the same fingerprint (the cache-key contract)."""
         kwargs = {name: _DISTINGUISHING[name] for name in fields}
-        fp = SolverConfig.from_kwargs(**kwargs).fingerprint()
-        ref = SolverConfig.from_kwargs(
+        fp = SolverConfig(**kwargs).fingerprint()
+        ref = SolverConfig(
             **{k: _DISTINGUISHING[k] for k in sorted(_DISTINGUISHING)}
         ).fingerprint()
         assert fp == ref
@@ -144,7 +135,7 @@ class TestConfigFingerprint:
     @pytest.mark.parametrize("field_name", sorted(_DISTINGUISHING))
     def test_distinguishes_each_field(self, field_name):
         base = SolverConfig()
-        changed = SolverConfig.from_kwargs(
+        changed = SolverConfig(
             **{field_name: _DISTINGUISHING[field_name]}
         )
         assert base.fingerprint() != changed.fingerprint(), field_name
@@ -155,7 +146,7 @@ class TestConfigFingerprint:
     @given(
         n_ranks=st.integers(min_value=1, max_value=64),
         discipline=st.sampled_from(["fifo", "priority"]),
-        backend=st.sampled_from([None, "dijkstra", "delta-numpy", "scipy"]),
+        backend=st.sampled_from([None, "dijkstra", "delta-numpy"]),
     )
     @FAST
     def test_equal_configs_equal_fingerprints(self, n_ranks, discipline, backend):
@@ -178,20 +169,21 @@ class TestConfigFingerprint:
         assert base.fingerprint() == chaotic.fingerprint()
 
 
-class TestFromKwargsAliases:
-    @pytest.mark.parametrize("alias,canonical", sorted(CONFIG_FIELD_ALIASES.items()))
-    def test_alias_maps_to_canonical(self, alias, canonical):
-        value = _DISTINGUISHING.get(canonical, 2)
-        with pytest.warns(DeprecationWarning, match=alias):
-            via_alias = SolverConfig.from_kwargs(**{alias: value})
-        via_canonical = SolverConfig.from_kwargs(**{canonical: value})
-        assert via_alias.fingerprint() == via_canonical.fingerprint()
+class TestOneSpellingPerOption:
+    """Each option has exactly one spelling: the old keyword aliases,
+    the ``bsp`` flag and the ``backend=`` side doors are rejected."""
 
-    def test_alias_and_canonical_together_rejected(self):
-        with pytest.raises(TypeError, match="twice"):
-            with pytest.warns(DeprecationWarning):
-                SolverConfig.from_kwargs(ranks=4, n_ranks=4)
+    @pytest.mark.parametrize("keyword", ["bsp", "ranks", "queue", "backend"])
+    def test_old_config_keyword_is_type_error(self, random_graph, keyword):
+        session = Session(random_graph)
+        for build in (SolverConfig, partial(Session, random_graph),
+                      partial(session.solve, [0, 1])):
+            with pytest.raises(TypeError, match=keyword):
+                build(**{keyword: 1})
 
-    def test_unknown_field_rejected(self):
-        with pytest.raises(TypeError, match="warp_drive"):
-            SolverConfig.from_kwargs(warp_drive=9)
+    @pytest.mark.parametrize(
+        "sweep", [sequential_steiner_tree, compute_voronoi_cells, mehlhorn_steiner_tree]
+    )
+    def test_backend_side_door_is_type_error(self, random_graph, sweep):
+        with pytest.raises(TypeError, match="backend"):
+            sweep(random_graph, [0, 1], backend="dijkstra")

@@ -309,11 +309,7 @@ from repro.api import Session
 from repro.graph.connectivity import largest_component_vertices
 from repro.graph.generators import rmat_graph
 from repro.graph.weights import assign_uniform_weights
-from repro.shortest_paths.backends import backend_availability
 
-record = backend_availability()["scipy"]
-assert record["status"] == "unavailable", record
-assert record["reason"], record
 g = assign_uniform_weights(rmat_graph(8, 4, seed=1), (1, 20), seed=2)
 comp = largest_component_vertices(g)
 with Session(g, engine="bsp-batched", voronoi_backend="delta-numpy") as s:

@@ -1,15 +1,17 @@
-"""A benchmark floor given without ``--check`` is a usage error.
+"""The bench gates cannot pass silently.
 
 The ``--min-*`` floors of the bench scripts are only applied by the
 ``--check`` gate.  Without it a floor could never fail, so a CI step
 that forgot ``--check`` would pass whatever the numbers.  Each script
 must reject that combination with argparse's exit code 2, naming the
-flag, before it times anything.
+flag, before it times anything.  With ``--check``, every graph's
+verdict, a skip included, lands in the written record.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -41,3 +43,22 @@ def test_floor_without_check_is_usage_error(script, flag, capsys, tmp_path):
     assert excinfo.value.code == 2
     assert flag in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
+
+
+def test_check_records_each_verdict(tmp_path):
+    baseline = json.loads((BENCHMARKS / "BENCH_backends_baseline.json").read_text())
+    del baseline["results"]["grid-5k-unit"]
+    baseline_path = tmp_path / "baseline.json"
+    baseline_path.write_text(json.dumps(baseline))
+    out = tmp_path / "out.json"
+    main = _bench_main("bench_backends.py")
+    main(["--quick", "--repeats", "1", "--out", str(out), "--check", str(baseline_path)])
+    verdicts = json.loads(out.read_text())["gate"]["verdicts"]
+    assert verdicts.pop("grid-5k-unit") == {
+        "verdict": "skipped",
+        "reason": "no baseline entry",
+    }
+    assert set(verdicts) == {"rmat-6k-w100", "er-6k-w100"}
+    for verdict in verdicts.values():
+        assert verdict["verdict"] in ("ok", "regressed")
+        assert verdict["floor"] == round(verdict["baseline"] * 0.8, 3)

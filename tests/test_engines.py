@@ -306,24 +306,14 @@ class TestSolverConfig:
 
     def test_default_engine(self):
         assert SolverConfig().engine == "async-heap"
-        assert SolverConfig().bsp is False
-
-    def test_bsp_alias_maps_to_bsp_engine(self):
-        cfg = SolverConfig(bsp=True)
-        assert cfg.engine == "bsp"
-        assert cfg.bsp is True
-
-    def test_bsp_flag_mirrors_engine(self):
-        assert SolverConfig(engine="bsp-batched").bsp is True
-        assert SolverConfig(engine="bsp").bsp is True
 
 
 class TestSequentialDefaultBackend:
     def test_default_is_vectorised(self, random_graph):
         """ROADMAP lever from PR 1: the shared-memory entry point
         defaults to the delta-numpy kernel (the parameter is now spelled
-        ``voronoi_backend``, matching the SolverConfig field; ``None``
-        resolves to the vectorised default)."""
+        ``voronoi_backend``, matching the SolverConfig field; the
+        default is the vectorised kernel)."""
         import inspect
 
         from repro.core.sequential import sequential_steiner_tree

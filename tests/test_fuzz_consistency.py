@@ -29,10 +29,10 @@ CONFIG_MATRIX = [
     SolverConfig(n_ranks=6, discipline="priority"),
     SolverConfig(n_ranks=6, partition="hash"),
     SolverConfig(n_ranks=6, delegate_threshold=6),
-    SolverConfig(n_ranks=6, bsp=True),
+    SolverConfig(n_ranks=6, engine="bsp"),
     SolverConfig(n_ranks=6, aggregate_remote_messages=True),
     SolverConfig(n_ranks=6, collective_chunk_elements=3),
-    SolverConfig(n_ranks=6, bsp=True, delegate_threshold=5),
+    SolverConfig(n_ranks=6, engine="bsp", delegate_threshold=5),
     SolverConfig(
         n_ranks=11,
         discipline="fifo",

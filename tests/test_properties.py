@@ -9,7 +9,7 @@ on.  These complement the example-based tests with adversarial inputs
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.exact import exact_steiner_tree
@@ -61,6 +61,36 @@ def connected_graph_and_seeds(draw, max_vertices=24, max_seeds=5, max_weight=12)
         )
     )
     return g, sorted(seeds)
+
+
+def prune_to_seeds(edges, seeds):
+    """Delete non-seed leaves of a tree until every leaf is a seed."""
+    edges = [tuple(int(x) for x in e) for e in edges]
+    while True:
+        degree = np.bincount(
+            [x for u, v, _ in edges for x in (u, v)], minlength=1
+        )
+
+        def bare_leaf(x):
+            return degree[x] == 1 and x not in seeds
+
+        kept = [e for e in edges if not (bare_leaf(e[0]) or bare_leaf(e[1]))]
+        if len(kept) == len(edges):
+            return kept
+        edges = kept
+
+
+#: smallest input where the tree costs more than an MST of the whole
+#: graph (10 > 9): the 0-1 distance-graph edge ties between the direct
+#: edge and 0-2-1, and the tie-break takes the direct edge
+_TREE_ABOVE_GRAPH_MST = (
+    CSRGraph.from_edges(
+        5,
+        np.asarray([(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)], dtype=np.int64),
+        [7, 6, 1, 1, 1],
+    ),
+    [0, 1, 4],
+)
 
 
 class TestShortestPathProperties:
@@ -165,14 +195,21 @@ class TestSteinerTreeProperties:
 
     @SLOW
     @given(connected_graph_and_seeds())
-    def test_tree_weight_at_most_mst_of_graph(self, gs):
-        # the Steiner tree never costs more than a spanning tree of the
-        # whole (connected) graph
+    @example(_TREE_ABOVE_GRAPH_MST)
+    def test_tree_weight_within_kmb_bound_of_pruned_mst(self, gs):
+        # KMB: D(GS) <= 2 (1 - 1/l) w(T) for any tree T spanning the
+        # seeds whose l leaves are all seeds.  An MST of G pruned of its
+        # non-seed leaves is such a tree with l <= k, so
+        # k D(GS) <= 2 (k - 1) w(T).  (An MST of the whole graph bounds
+        # nothing: the pinned example's tree costs 10 against an MST of 9.)
         g, seeds = gs
         src, dst, w = g.edge_array()
-        mst_w = int(w[prim_mst(g.n_vertices, src, dst, w)].sum())
+        mst = prim_mst(g.n_vertices, src, dst, w)
+        pruned = prune_to_seeds(zip(src[mst], dst[mst], w[mst]), set(seeds))
+        pruned_w = sum(e[2] for e in pruned)
+        k = len(seeds)
         res = sequential_steiner_tree(g, seeds)
-        assert res.total_distance <= mst_w
+        assert k * res.total_distance <= 2 * (k - 1) * pruned_w
 
     @SLOW
     @given(connected_graph_and_seeds())

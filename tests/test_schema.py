@@ -1,5 +1,5 @@
-"""Versioned JSON schema: request parsing, result payloads, envelopes,
-and the deprecation shims for pre-schema field names."""
+"""Versioned JSON schema: request parsing, result payloads and
+envelopes."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from repro.api.schema import (
     parse_request,
     response_payload,
     result_payload,
-    upgrade_result_payload,
 )
 from repro.core.sequential import sequential_steiner_tree
 
@@ -58,18 +57,15 @@ class TestParseRequest:
             ("options", "config", {"n_ranks": 4}),
         ],
     )
-    def test_legacy_fields_upgrade_with_warning(self, legacy, canonical, value):
+    def test_pre_schema_fields_rejected(self, legacy, canonical, value):
         payload = {"id": "r9", "graph": "MCO", "seeds": [4, 5]}
         payload.pop(canonical, None)
         payload[legacy] = value
-        with pytest.warns(DeprecationWarning, match=legacy):
-            req = parse_request(payload)
-        assert getattr(req, canonical) == (
-            tuple(value) if canonical == "seeds" else value
-        )
+        with pytest.raises(SchemaError, match=legacy):
+            parse_request(payload)
 
     def test_both_spellings_rejected(self):
-        with pytest.raises(SchemaError, match="both"):
+        with pytest.raises(SchemaError, match="request_id"):
             parse_request(
                 {"id": "a", "request_id": "b", "graph": "g", "seeds": [1]}
             )
@@ -122,20 +118,6 @@ class TestResultPayload:
         assert json.loads(res.to_json()) == json.loads(
             json.dumps(schema.jsonable(payload))
         )
-
-    def test_upgrade_legacy_result(self):
-        with pytest.warns(DeprecationWarning, match="total"):
-            up = upgrade_result_payload({"total": 23, "edges": []})
-        assert up["total_distance"] == 23
-        assert up["schema_version"] == SCHEMA_VERSION
-
-    def test_upgrade_rejects_double_spelling(self):
-        with pytest.raises(SchemaError, match="both"):
-            upgrade_result_payload({"total": 1, "total_distance": 1})
-
-    def test_canonical_result_passes_through(self):
-        src = {"total_distance": 5, "edges": [[0, 1, 5]], "schema_version": 1}
-        assert upgrade_result_payload(src) == src
 
 
 class TestEnvelopes:

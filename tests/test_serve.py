@@ -381,23 +381,41 @@ class TestProtocol:
         ok = [r for r in responses if r["ok"]]
         assert len(ok) == 1 and ok[0]["id"] == "ok"
 
-    def test_legacy_request_fields_served(self, graph):
+    def test_pre_schema_request_rejected(self, graph):
         svc = make_service(graph, batch_window_s=0.01)
-        with pytest.warns(DeprecationWarning):
-            _, responses = self.run_lines(
-                svc,
-                [
-                    json.dumps(
-                        {
-                            "request_id": "old",
-                            "dataset": "g",
-                            "terminals": [0, 23, 77],
-                        }
-                    )
-                ],
-            )
+        _, responses = self.run_lines(
+            svc,
+            [
+                json.dumps(
+                    {"request_id": "old", "dataset": "g", "terminals": [0, 23, 77]}
+                ),
+                json.dumps({"id": "new", "graph": "g", "seeds": [0, 23, 77]}),
+            ],
+        )
         svc.close()
-        assert responses[0]["id"] == "old" and responses[0]["ok"] is True
+        old, new = sorted(responses, key=lambda r: r["id"] is not None)
+        assert old["ok"] is False and old["error"]["type"] == "SchemaError"
+        assert "terminals" in old["error"]["message"]
+        assert new["id"] == "new" and new["ok"] is True
+
+    def test_bad_machine_config_answered_worker_survives(self, graph):
+        """A ``machine`` override that is not a MachineModel is refused
+        in the caller's thread; the batching worker never sees it, so a
+        valid request batched right after it is still answered."""
+        svc = make_service(graph, batch_window_s=0.05)
+        out: list[str] = []
+        handler = ProtocolHandler(svc, out.append)
+        bad = {"id": "bad", "graph": "g", "seeds": [0, 23], "config": {"machine": {}}}
+        handler.handle_line(json.dumps(bad))
+        handler.handle_line(json.dumps({"id": "ok", "graph": "g", "seeds": [0, 23, 77]}))
+        handler.drain(timeout=3)
+        drained = svc.drain(timeout=2)
+        svc.close()
+        by_id = {r["id"]: r for r in map(json.loads, out)}
+        assert by_id["bad"]["ok"] is False
+        assert by_id["bad"]["error"]["type"] == "TypeError"
+        assert by_id["ok"]["ok"] is True
+        assert drained is True
 
     def test_handler_graphs_op(self, graph):
         svc = make_service(graph)

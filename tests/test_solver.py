@@ -77,7 +77,7 @@ class TestDistributedMatchesSequential:
             {"n_ranks": 4, "discipline": "fifo"},
             {"n_ranks": 4, "partition": "hash"},
             {"n_ranks": 4, "delegate_threshold": 8},
-            {"n_ranks": 4, "bsp": True},
+            {"n_ranks": 4, "engine": "bsp"},
         ],
     )
     def test_config_invariance(self, random_graph, config_kwargs):
