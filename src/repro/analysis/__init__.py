@@ -2,18 +2,11 @@
 
 See :mod:`repro.analysis.engine` for the architecture and
 ``docs/analysis.md`` for the rule catalogue.  Importing this package
-registers the built-in rule families:
-
-* ``REP1xx`` — determinism lint (:mod:`~repro.analysis.rules_determinism`)
-* ``REP2xx`` — fingerprint-coverage audit (:mod:`~repro.analysis.rules_fingerprint`)
-* ``REP5xx`` — registry-contract conformance (:mod:`~repro.analysis.rules_contracts`)
+registers the built-in rules: the ``REP1xx`` determinism lint
+(:mod:`~repro.analysis.rules_determinism`).
 """
 
-from repro.analysis import (  # importing registers the rules
-    rules_contracts,
-    rules_determinism,
-    rules_fingerprint,
-)
+from repro.analysis import rules_determinism  # importing registers the rules
 from repro.analysis.engine import (
     DEFAULT_EXCLUDES,
     Finding,
@@ -22,7 +15,6 @@ from repro.analysis.engine import (
     check_source,
     file_rule,
     iter_python_files,
-    repo_rule,
     rule_catalogue,
     run_check,
 )
@@ -35,7 +27,6 @@ __all__ = [
     "check_source",
     "file_rule",
     "iter_python_files",
-    "repo_rule",
     "rule_catalogue",
     "run_check",
 ]

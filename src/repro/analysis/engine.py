@@ -2,18 +2,14 @@
 
 A small, dependency-free static-analysis pass purpose-built for this
 repository's invariants: bit-identical parity across backends and
-engines only survives new code if that code is deterministic and keeps
-the cache fingerprint honest.  Runtime tests catch a violation only on
-the path they happen to exercise; these rules catch the *bug classes*
-at review time, on every path.
+engines only survives new code if that code is deterministic.  Runtime
+tests catch a violation only on the path they happen to exercise; these
+rules catch the *bug classes* at review time, on every path.
 
 Architecture
 ------------
 * **File rules** (:func:`file_rule`) receive a parsed
   :class:`ModuleContext` per checked file and yield :class:`Finding`s.
-* **Repo rules** (:func:`repo_rule`) run once per invocation against the
-  *imported* package (registry conformance, fingerprint coverage) — the
-  half of the contract AST inspection cannot see.
 * Every finding carries a stable rule id (``REP0xx``); a finding whose
   line carries ``# repro: ignore[REPxxx]`` is recorded but suppressed
   (it never affects the exit code).  Suppressions should carry a
@@ -22,12 +18,12 @@ Architecture
 
 Adding a rule
 -------------
-Write a generator taking a :class:`ModuleContext` (or nothing, for repo
-rules), decorate it with :func:`file_rule`/:func:`repo_rule`, give its
-findings a fresh ``REPxxx`` id, add a fixture under
-``tests/analysis_fixtures/`` proving it fires, and document it in
-``docs/analysis.md``.  Importing the module registers the rule; the
-built-in rule modules are imported by :mod:`repro.analysis`.
+Write a generator taking a :class:`ModuleContext`, decorate it with
+:func:`file_rule`, give its findings a fresh ``REPxxx`` id, add a
+fixture under ``tests/analysis_fixtures/`` proving it fires, and
+document it in ``docs/analysis.md``.  Importing the module registers
+the rule; the built-in rule modules are imported by
+:mod:`repro.analysis`.
 """
 
 from __future__ import annotations
@@ -47,7 +43,6 @@ __all__ = [
     "ModuleContext",
     "Report",
     "file_rule",
-    "repo_rule",
     "iter_python_files",
     "run_check",
     "rule_catalogue",
@@ -88,17 +83,6 @@ class Finding:
             "message": self.message,
             "suppressed": self.suppressed,
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "Finding":
-        return cls(
-            rule=str(payload["rule"]),
-            path=str(payload["path"]),
-            line=int(payload["line"]),
-            col=int(payload["col"]),
-            message=str(payload["message"]),
-            suppressed=bool(payload["suppressed"]),
-        )
 
 
 class ModuleContext:
@@ -180,13 +164,11 @@ def _collect_suppressions(source: str) -> dict[int, set[str]]:
 
 
 # --------------------------------------------------------------------- #
-# rule registries
+# rule registry
 # --------------------------------------------------------------------- #
 FileRule = Callable[[ModuleContext], Iterable[Finding]]
-RepoRule = Callable[[], Iterable[Finding]]
 
 _FILE_RULES: list[FileRule] = []
-_REPO_RULES: list[RepoRule] = []
 #: ``{rule id: one-line description}`` registered alongside the rules.
 _CATALOGUE: dict[str, str] = {}
 
@@ -199,19 +181,6 @@ def file_rule(
 
     def deco(fn: FileRule) -> FileRule:
         _FILE_RULES.append(fn)
-        _CATALOGUE.update(dict(ids_and_help))
-        return fn
-
-    return deco
-
-
-def repo_rule(
-    *ids_and_help: tuple[str, str],
-) -> Callable[[RepoRule], RepoRule]:
-    """Register a once-per-invocation rule (imports the live package)."""
-
-    def deco(fn: RepoRule) -> RepoRule:
-        _REPO_RULES.append(fn)
         _CATALOGUE.update(dict(ids_and_help))
         return fn
 
@@ -281,15 +250,6 @@ class Report:
             sort_keys=True,
         )
 
-    @classmethod
-    def from_json(cls, blob: str) -> "Report":
-        payload = json.loads(blob)
-        return cls(
-            findings=[Finding.from_dict(d) for d in payload["findings"]],
-            checked_files=int(payload["checked_files"]),
-            errors=[str(e) for e in payload.get("errors", [])],
-        )
-
     def render(self, *, show_suppressed: bool = False) -> str:
         lines = [
             f.render()
@@ -322,10 +282,9 @@ def check_source(path: str | Path, source: str) -> list[Finding]:
 def run_check(
     paths: Sequence[str | Path],
     *,
-    repo_rules: bool = True,
     excludes: Sequence[str] = DEFAULT_EXCLUDES,
 ) -> Report:
-    """Run the full pass: file rules over ``paths``, then repo rules.
+    """Run every file rule over the ``.py`` files under ``paths``.
 
     Unreadable or syntactically invalid files are reported in
     ``Report.errors`` (non-zero exit) rather than raised — the checker
@@ -341,14 +300,5 @@ def run_check(
         report.checked_files += 1
         for rule in _FILE_RULES:
             report.findings.extend(rule(ctx))
-    if repo_rules:
-        for rule in _REPO_RULES:
-            try:
-                report.findings.extend(rule())
-            except Exception as exc:  # repo rules import live code; never crash
-                report.errors.append(
-                    f"repo rule {rule.__name__} crashed: "
-                    f"{type(exc).__name__}: {exc}"
-                )
     report.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return report

@@ -4,34 +4,43 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from dataclasses import dataclass, field, fields
 from typing import Any, Optional
+
+import numpy as np
 
 from repro.runtime.cost_model import MachineModel
 from repro.runtime.queues import QueueDiscipline
 
-__all__ = ["SolverConfig", "FINGERPRINT_EXCLUSIONS"]
+__all__ = ["SolverConfig"]
 
-#: The documented exclusion set of :meth:`SolverConfig.fingerprint` —
-#: ``{field name: why excluding it is sound}``.  This is *data shared by
-#: the runtime and the static checker*: ``fingerprint()`` skips exactly
-#: these fields, the ``repro-steiner check`` fingerprint-coverage audit
-#: (rules REP201-REP203, :mod:`repro.analysis.rules_fingerprint`) fails
-#: if any :class:`SolverConfig` field is neither hashed nor listed here
-#: with a reason, and ``tests/test_api.py`` pins the two views equal.
-#: A field belongs here iff changing it can never change a correct
-#: run's *results* — only how they are computed.
-FINGERPRINT_EXCLUSIONS: dict[str, str] = {
-    "fault_plan": "only the serve tier consumes it, and its faults never "
-    "reach a solve: a torn cache write is quarantined and re-solved, a "
-    "dropped connection loses only the response (docs/robustness.md), "
-    "so a plan never changes a correct run's output",
-}
+#: fields that must hold a real bool: a string such as ``"false"`` is
+#: truthy, so it would silently switch the option on
+_BOOL_FIELDS = ("collect_diagram", "aggregate_remote_messages")
+#: integer fields that may also be ``None``; like ``n_ranks`` they are
+#: stored as ``int``, so a NumPy integer hashes like its value
+_OPTIONAL_INT_FIELDS = ("delegate_threshold", "max_events", "collective_chunk_elements")
+
+
+def _as_int(name: str, value: Any) -> int:
+    """``value`` as a Python ``int``; a bool or a non-integer raises."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an int, got {value!r}")
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs of the distributed solver (paper §IV defaults).
+
+    The bool fields accept only ``bool`` (or ``np.bool_``) and the
+    integer fields only integers (NumPy integers included, bools not);
+    both are stored as plain Python values, and anything else raises
+    :class:`TypeError` at construction.
 
     Attributes
     ----------
@@ -92,13 +101,6 @@ class SolverConfig:
         fast path for workloads that need the tree, not the message
         trace.  The phase is then not simulated: its
         ``sim_time`` is ``0.0`` and it sends no messages.
-    fault_plan:
-        Deterministic chaos: a :class:`repro.faults.FaultPlan` whose
-        ``corrupt_cache`` / ``drop_connection`` actions the serve tier
-        injects at their scheduled points (``None`` = the
-        ``REPRO_FAULT_PLAN`` env hook, which is itself usually unset).
-        Testing machinery — the solver never reads it, so a fault plan
-        never changes a correct run's output.
     """
 
     n_ranks: int = 16
@@ -112,9 +114,18 @@ class SolverConfig:
     collective_chunk_elements: Optional[int] = None
     aggregate_remote_messages: bool = False
     voronoi_backend: Optional[str] = None
-    fault_plan: Optional[Any] = None
 
     def __post_init__(self) -> None:
+        for name in _BOOL_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, (bool, np.bool_)):
+                raise TypeError(f"{name} must be a bool, got {value!r}")
+            object.__setattr__(self, name, bool(value))
+        object.__setattr__(self, "n_ranks", _as_int("n_ranks", self.n_ranks))
+        for name in _OPTIONAL_INT_FIELDS:
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, _as_int(name, value))
         if self.n_ranks < 1:
             raise ValueError("n_ranks must be >= 1")
         if self.partition not in ("block", "hash"):
@@ -143,19 +154,14 @@ class SolverConfig:
     # ------------------------------------------------------------------ #
     def fingerprint_material(self) -> dict[str, Any]:
         """The exact ``{field: canonical value}`` dict the fingerprint
-        hashes — every dataclass field except the documented
-        :data:`FINGERPRINT_EXCLUSIONS`.
+        hashes — every dataclass field, so a new ``SolverConfig`` field
+        is covered automatically.
 
-        Exposed separately so the fingerprint-coverage audit (REP202)
-        and the regression tests can verify *what* is hashed without
-        reversing the digest: a new ``SolverConfig`` field is covered
-        automatically, and can only leave the material by being added to
-        the exclusion dict with a written justification.
+        Exposed separately so tests can verify *what* is hashed without
+        reversing the digest.
         """
         material: dict[str, Any] = {}
         for f in fields(self):
-            if f.name in FINGERPRINT_EXCLUSIONS:
-                continue
             value = getattr(self, f.name)
             if f.name == "machine":
                 value = {
@@ -167,19 +173,18 @@ class SolverConfig:
         return material
 
     def fingerprint(self) -> str:
-        """Stable short hash over every behaviour-affecting field.
+        """Stable short hash over every field.
 
         This is the ``config_fingerprint`` component of the serve/cache
         key ``(graph_hash, frozenset(seeds), config_fingerprint)``: two
         configurations share a fingerprint iff a cached result computed
-        under one is valid for the other.  Every dataclass field except
-        the documented :data:`FINGERPRINT_EXCLUSIONS` participates — the
-        serve-tier ``fault_plan`` never changes a correct run's results,
-        so results cached under one plan are valid under any other.  The
-        machine model is flattened into its constants, values are
-        canonicalised (enum -> value) and serialised with sorted keys, so
-        the digest is independent of field ordering and of dict-insertion
-        order.
+        under one is valid for the other.  Every dataclass field
+        participates; the serve tier's fault plan is not a config field
+        (it is passed to :class:`~repro.serve.service.SolverService`),
+        so chaos and fault-free runs share cache entries.  The machine
+        model is flattened into its constants, values are canonicalised
+        (enum -> value) and serialised with sorted keys, so the digest
+        is independent of field ordering and of dict-insertion order.
         """
         blob = json.dumps(self.fingerprint_material(), sort_keys=True, default=str)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]

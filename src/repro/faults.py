@@ -22,8 +22,9 @@ Injection points (each consumer documents its own semantics):
     the next solve response; the service and batching worker must
     survive.
 
-Plans reach the serve tier two ways: ``SolverConfig(fault_plan=...)``
-for in-process callers, or the ``REPRO_FAULT_PLAN`` environment variable
+Plans reach the serve tier two ways: ``SolverService(fault_plan=...)``
+(or ``SolveCache(fault_plan=...)`` for a cache alone) for in-process
+callers, or the ``REPRO_FAULT_PLAN`` environment variable
 (a JSON action list, or ``@/path/to/plan.json``) for subprocesses and
 servers — :func:`env_plan` parses it once and hands every consumer in
 the process the *same* instance, so consumption is global.

@@ -32,13 +32,11 @@ Subcommands
     List the registered multi-source shortest-path backends, one line
     each; with ``--bench``, time each one on the chosen instance and
     verify they agree bit-for-bit.
-``check [PATHS...] [--format text|json] [--show-suppressed]
-[--files-only] [--list-rules]``
+``check [PATHS...] [--format text|json] [--show-suppressed] [--list-rules]``
     Run the repo-invariant static-analysis pass (``docs/analysis.md``):
-    determinism lint, fingerprint-coverage audit and registry-contract
-    conformance.  Exits 0 iff every finding is fixed or carries a
-    justified ``# repro: ignore[REPxxx]`` suppression — the pre-PR gate
-    CI runs as the blocking ``check`` job.
+    the determinism lint, rules REP101–REP103.  Exits 0 iff every
+    finding is fixed or carries a justified ``# repro: ignore[REPxxx]``
+    suppression — the pre-PR gate CI runs as the blocking ``check`` job.
 ``engines [--bench] [--dataset LVJ] [--seeds 30] [--ranks 16]``
     List the registered runtime engines, one line each; with
     ``--bench``, solve the chosen instance on each engine, verify the
@@ -280,7 +278,7 @@ def _cmd_check(args) -> int:
         for rule_id, text in rule_catalogue().items():
             print(f"{rule_id}  {text}")
         return 0
-    report = run_check(args.paths, repo_rules=not args.files_only)
+    report = run_check(args.paths)
     if args.format == "json":
         print(report.to_json())
     else:
@@ -431,11 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--show-suppressed", action="store_true",
         help="also print findings silenced by # repro: ignore[...]",
-    )
-    p_check.add_argument(
-        "--files-only", action="store_true",
-        help="skip the repo rules (registry/fingerprint audits that "
-        "import the live package); file rules only",
     )
     p_check.add_argument(
         "--list-rules", action="store_true",

@@ -140,9 +140,19 @@ python -m repro.harness.experiments_md --quick    # smoke version
 """
 
 
+def mode_line(quick: bool) -> str:
+    """The header line naming the sweep that produced the document."""
+    if quick:
+        return (
+            "**Mode:** produced by the `--quick` sweep (the smoke version: "
+            "fewer datasets and smaller seed counts than the full sweep).\n"
+        )
+    return "**Mode:** produced by the full sweep.\n"
+
+
 def generate(quick: bool = False) -> str:
     """Run every registered experiment and render the full document."""
-    parts = [HEADER]
+    parts = [HEADER, mode_line(quick)]
     for exp_id in EXPERIMENTS:
         t0 = time.perf_counter()
         report = run_experiment(exp_id, quick=quick)

@@ -193,31 +193,6 @@ class EngineBase:
         for target, payload in initial_messages:
             yield dest_rank(owner, target), (target, payload)
 
-    def add_analytic_phase(
-        self,
-        name: str,
-        sim_time: float,
-        *,
-        n_messages_remote: int = 0,
-        bytes_sent: int = 0,
-    ) -> PhaseStats:
-        """Record a phase whose cost is computed analytically rather than
-        event-by-event (collectives, halo exchanges, sequential MST)."""
-        stats = PhaseStats(
-            name=name,
-            sim_time=sim_time,
-            n_messages_remote=n_messages_remote,
-            bytes_sent=bytes_sent,
-            busy_time=np.zeros(self.partition.n_ranks),
-        )
-        self.clock += sim_time
-        self.phases.append(stats)
-        return stats
-
-    def total_time(self) -> float:
-        """Sum of recorded phase makespans (the end-to-end metric)."""
-        return float(sum(p.sim_time for p in self.phases))
-
 
 class AsyncEngine(EngineBase):
     """Asynchronous message-driven executor over a partitioned graph."""

@@ -12,14 +12,13 @@ Contract
 An engine is built by a registered factory
 ``(partition, machine=None, discipline=..., *, aggregate_remote=False)``
 — factories must accept (and may ignore) the keyword knob, so a single
-:func:`make_engine` call site serves all engines — and exposes the
-:class:`~repro.runtime.engine.EngineBase` surface:
-
-* ``run_phase(name, program, initial_messages, *, max_events=None)``
-  runs a :class:`~repro.runtime.engine.VertexProgram` to quiescence and
-  returns a :class:`~repro.runtime.engine.PhaseStats`;
-* ``add_analytic_phase`` / ``total_time`` / ``phases`` record phases
-  whose cost is analytic (collectives, MST).
+:func:`make_engine` call site serves all engines — and exposes
+``run_phase(name, program, initial_messages, *, max_events=None)``,
+which runs a :class:`~repro.runtime.engine.VertexProgram` to quiescence
+and returns a :class:`~repro.runtime.engine.PhaseStats`
+(:class:`repro.contracts.RuntimeEngine`).  The
+:class:`~repro.runtime.engine.EngineBase` state every engine shares
+records each phase in ``phases`` and advances the simulated ``clock``.
 
 Parity guarantee (pinned by ``tests/test_engines.py`` and
 ``tests/test_engine_conformance.py``): every engine drives a program to
@@ -304,8 +303,8 @@ if TYPE_CHECKING:
 
     # mypy structurally verifies every built-in engine class against the
     # registry contract (repro.contracts.RuntimeEngine); dropping or
-    # renaming a contract member fails type-checking on this line.  The
-    # REP501 checker rule is the runtime twin of this assignment.
+    # renaming run_phase fails type-checking on this line, and running
+    # it is pinned by tests/test_engine_conformance.py.
     _ENGINE_CONFORMANCE: tuple[type[RuntimeEngine], ...] = (
         AsyncEngine,
         BSPEngine,

@@ -14,8 +14,8 @@ Two LRU maps behind one lock:
 The key contract (documented in ``docs/serve.md``): ``graph_hash`` is
 :meth:`CSRGraph.content_hash` (bytes of the CSR arrays), the seed set
 is order-insensitive (``frozenset``), and ``config_fingerprint`` is
-:meth:`SolverConfig.fingerprint` — a digest over every
-behaviour-affecting configuration field, independent of field ordering.
+:meth:`SolverConfig.fingerprint` — a digest over every configuration
+field, independent of field ordering.
 
 With ``disk_dir`` set, solutions are additionally pickled to disk and
 survive process restarts: an in-memory miss falls through to disk

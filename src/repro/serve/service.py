@@ -42,7 +42,7 @@ from repro.api import Session
 from repro.api.schema import SolveRequest, parse_request
 from repro.core.config import SolverConfig
 from repro.core.result import SteinerTreeResult
-from repro.faults import env_plan
+from repro.faults import FaultPlan, env_plan
 from repro.serve.batch import fused_multisource
 from repro.serve.cache import SolveCache
 
@@ -219,6 +219,13 @@ class SolverService:
         queued, :meth:`submit` sheds the newcomer with :class:`QueueFull`
         (``retry_after_ms`` sized from the backlog) instead of buffering
         unbounded work.  ``None`` (default) = unbounded.
+    fault_plan:
+        Deterministic chaos: a :class:`repro.faults.FaultPlan` whose
+        ``corrupt_cache`` / ``drop_connection`` actions the default
+        cache and the TCP transport inject at their scheduled points.
+        ``None`` (default) = the ``REPRO_FAULT_PLAN`` env hook, which is
+        itself usually unset.  No fault reaches a solve, so a plan never
+        changes a correct run's output.
     """
 
     def __init__(
@@ -230,6 +237,7 @@ class SolverService:
         max_batch: int = 8,
         graph_loader: Callable[[str], Any] | None = None,
         max_queue_depth: int | None = None,
+        fault_plan: FaultPlan | None = None,
         **config_kwargs: Any,
     ) -> None:
         if config is not None and config_kwargs:
@@ -243,9 +251,7 @@ class SolverService:
         self.config = config
         #: the deterministic chaos schedule every serve-tier consumer
         #: (cache corruption, TCP connection drops) draws from
-        self.fault_plan = (
-            config.fault_plan if config.fault_plan is not None else env_plan()
-        )
+        self.fault_plan = fault_plan if fault_plan is not None else env_plan()
         if cache is None or cache is True:
             cache = SolveCache(fault_plan=self.fault_plan)
         self.cache: SolveCache | None = cache if cache is not False else None

@@ -229,6 +229,6 @@ if TYPE_CHECKING:
     from repro.contracts import DiagramLike
 
     # mypy structurally verifies the diagram type against the registry
-    # contract (repro.contracts.DiagramLike); the REP502 checker rule is
-    # the runtime twin of this assignment.
+    # contract (repro.contracts.DiagramLike); the arrays every backend
+    # returns are compared bit-for-bit by tests/test_backends.py.
     _DIAGRAM_CONFORMANCE: type[DiagramLike] = VoronoiDiagram

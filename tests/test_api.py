@@ -3,11 +3,12 @@ fingerprints.
 
 The hypothesis blocks pin the ``SolverConfig.fingerprint`` contract the
 serve cache keys depend on: invariant under field ordering, sensitive
-to every behaviour-affecting field.
+to every field.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from functools import partial
 
 import numpy as np
@@ -20,6 +21,7 @@ from repro.api import Session, SolverConfig, solve
 from repro.baselines.mehlhorn import mehlhorn_steiner_tree
 from repro.core.sequential import sequential_steiner_tree
 from repro.core.solver import distributed_steiner_tree
+from repro.runtime.cost_model import MachineModel
 from repro.shortest_paths.voronoi import compute_voronoi_cells
 
 from tests.conftest import component_seeds
@@ -105,16 +107,23 @@ class TestSession:
         assert cache.stats.solution_hits == 1
 
 
-#: every behaviour-affecting field the fingerprint must distinguish,
-#: with a value differing from the SolverConfig default
+#: a value differing from the SolverConfig default for every field the
+#: fingerprint hashes — which is every field
 _DISTINGUISHING = {
-    "engine": "bsp",
-    "voronoi_backend": "delta-numpy",
+    "n_ranks": 5,
     "discipline": "fifo",
     "partition": "hash",
     "delegate_threshold": 7,
-    "n_ranks": 5,
+    "machine": MachineModel(t_visit=3.0e-7),
+    "engine": "bsp",
+    "collect_diagram": True,
+    "max_events": 1000,
+    "collective_chunk_elements": 500,
+    "aggregate_remote_messages": True,
+    "voronoi_backend": "delta-numpy",
 }
+
+_FIELD_NAMES = [f.name for f in dataclasses.fields(SolverConfig)]
 
 
 class TestConfigFingerprint:
@@ -132,48 +141,82 @@ class TestConfigFingerprint:
         ).fingerprint()
         assert fp == ref
 
-    @pytest.mark.parametrize("field_name", sorted(_DISTINGUISHING))
+    @pytest.mark.parametrize("field_name", _FIELD_NAMES)
     def test_distinguishes_each_field(self, field_name):
+        assert field_name in _DISTINGUISHING, (
+            f"give SolverConfig.{field_name} a distinguishing value"
+        )
         base = SolverConfig()
         changed = SolverConfig(
             **{field_name: _DISTINGUISHING[field_name]}
         )
         assert base.fingerprint() != changed.fingerprint(), field_name
 
+    def test_material_covers_every_field(self):
+        assert sorted(SolverConfig().fingerprint_material()) == sorted(_FIELD_NAMES)
+
     def test_stable_within_process(self):
         assert SolverConfig().fingerprint() == SolverConfig().fingerprint()
 
     @given(
         n_ranks=st.integers(min_value=1, max_value=64),
+        as_type=st.sampled_from([int, np.int64]),
         discipline=st.sampled_from(["fifo", "priority"]),
         backend=st.sampled_from([None, "dijkstra", "delta-numpy"]),
     )
     @FAST
-    def test_equal_configs_equal_fingerprints(self, n_ranks, discipline, backend):
+    def test_equal_configs_equal_fingerprints(
+        self, n_ranks, as_type, discipline, backend
+    ):
         a = SolverConfig(
             n_ranks=n_ranks, discipline=discipline, voronoi_backend=backend
         )
         b = SolverConfig(
-            n_ranks=n_ranks, discipline=discipline, voronoi_backend=backend
+            n_ranks=as_type(n_ranks), discipline=discipline, voronoi_backend=backend
         )
         assert a.fingerprint() == b.fingerprint()
 
-    def test_fault_knobs_excluded(self):
-        """A fault plan only reaches the serve tier and never changes
-        results — it must NOT change the fingerprint (cache entries stay
-        shared across chaos and fault-free runs)."""
-        from repro.faults import FaultAction, FaultPlan
 
-        base = SolverConfig()
-        chaotic = SolverConfig(fault_plan=FaultPlan([FaultAction("corrupt_cache")]))
-        assert base.fingerprint() == chaotic.fingerprint()
+class TestConfigTypes:
+    """Bool and int fields are checked and stored as Python values, so
+    a truthy string cannot switch an option on and a NumPy integer
+    cannot give one configuration a second cache key."""
+
+    @pytest.mark.parametrize(
+        ("field_name", "value"),
+        [
+            ("aggregate_remote_messages", "false"),
+            ("collect_diagram", "no"),
+            ("n_ranks", True),
+            ("n_ranks", 4.0),
+            ("max_events", "3"),
+            ("delegate_threshold", np.bool_(True)),
+        ],
+        ids=str,
+    )
+    def test_wrong_type_is_type_error(self, field_name, value):
+        with pytest.raises(TypeError, match=field_name):
+            SolverConfig(**{field_name: value})
+
+    def test_numpy_values_stored_as_python(self):
+        config = SolverConfig(
+            n_ranks=np.int64(4),
+            max_events=np.int32(0),
+            aggregate_remote_messages=np.bool_(True),
+        )
+        assert type(config.n_ranks) is int and config.n_ranks == 4
+        assert type(config.max_events) is int and config.max_events == 0
+        assert config.aggregate_remote_messages is True
 
 
 class TestOneSpellingPerOption:
     """Each option has exactly one spelling: the old keyword aliases,
-    the ``bsp`` flag and the ``backend=`` side doors are rejected."""
+    the ``bsp`` flag and the ``backend=`` side doors are rejected, and
+    the fault plan is a ``SolverService`` argument, not a config field."""
 
-    @pytest.mark.parametrize("keyword", ["bsp", "ranks", "queue", "backend"])
+    @pytest.mark.parametrize(
+        "keyword", ["bsp", "ranks", "queue", "backend", "fault_plan"]
+    )
     def test_old_config_keyword_is_type_error(self, random_graph, keyword):
         session = Session(random_graph)
         for build in (SolverConfig, partial(Session, random_graph),

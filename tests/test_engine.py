@@ -109,15 +109,6 @@ class TestAsyncEngine:
         engine.run_phase("two", prog, [(0, (3,))])
         assert engine.clock > clock_after_one
         assert [p.name for p in engine.phases] == ["one", "two"]
-        assert engine.total_time() == pytest.approx(
-            sum(p.sim_time for p in engine.phases)
-        )
-
-    def test_analytic_phase(self):
-        engine, _ = make_engine()
-        stats = engine.add_analytic_phase("mst", 1.5, bytes_sent=100)
-        assert stats.sim_time == 1.5
-        assert engine.clock == pytest.approx(1.5)
 
     def test_empty_phase(self):
         engine, _ = make_engine()

@@ -121,6 +121,8 @@ class TestExperimentsMdGenerator:
         text = out.read_text()
         assert "# EXPERIMENTS" in text
         assert "table3" in text and "fig2" in text
+        assert gen.mode_line(quick=True) in text
+        assert gen.mode_line(quick=False) not in text
 
     def test_expectations_cover_registry(self):
         from repro.harness.experiments_md import PAPER_EXPECTATIONS

@@ -83,6 +83,15 @@ class TestFaultPlan:
         monkeypatch.delenv(ENV_VAR)
         assert env_plan() is None
 
+    def test_env_plan_reaches_service_cache_and_transport(self, monkeypatch):
+        # without a fault_plan argument the service takes the env plan;
+        # its default cache and the TCP transport draw from service.fault_plan
+        monkeypatch.setenv(ENV_VAR, FaultPlan([FaultAction("corrupt_cache")]).to_json())
+        svc = SolverService()
+        assert svc.fault_plan is env_plan()
+        assert svc.cache.fault_plan is svc.fault_plan
+        svc.close()
+
     def test_env_plan_misconfig_is_loud(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "{not json")
         with pytest.raises(ValueError):
@@ -343,11 +352,13 @@ class TestDroppedConnections:
     def test_client_drop_mid_response_leaves_service_alive(self, graph):
         plan = FaultPlan([FaultAction("drop_connection")])
         svc = SolverService(
-            config=SolverConfig(voronoi_backend="delta-numpy", fault_plan=plan),
+            config=SolverConfig(voronoi_backend="delta-numpy"),
+            fault_plan=plan,
             batch_window_s=0.01,
         )
         svc.add_graph("g", graph)
         assert svc.fault_plan is plan
+        assert svc.cache.fault_plan is plan
         server, port = tcp_fixture(svc)
         try:
             with socket.create_connection(("127.0.0.1", port), timeout=30) as s:

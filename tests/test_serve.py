@@ -398,14 +398,26 @@ class TestProtocol:
         assert "terminals" in old["error"]["message"]
         assert new["id"] == "new" and new["ok"] is True
 
-    def test_bad_machine_config_answered_worker_survives(self, graph):
-        """A ``machine`` override that is not a MachineModel is refused
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"machine": {}},
+            {"fault_plan": "boom"},
+            {"aggregate_remote_messages": "false"},
+            {"collect_diagram": "no"},
+        ],
+        ids=lambda config: next(iter(config)),
+    )
+    def test_bad_machine_config_answered_worker_survives(self, graph, config):
+        """A config override ``SolverConfig`` rejects — a ``machine``
+        that is not a MachineModel, the fault plan (a service argument,
+        not a config field), a string where a bool belongs — is refused
         in the caller's thread; the batching worker never sees it, so a
         valid request batched right after it is still answered."""
         svc = make_service(graph, batch_window_s=0.05)
         out: list[str] = []
         handler = ProtocolHandler(svc, out.append)
-        bad = {"id": "bad", "graph": "g", "seeds": [0, 23], "config": {"machine": {}}}
+        bad = {"id": "bad", "graph": "g", "seeds": [0, 23], "config": config}
         handler.handle_line(json.dumps(bad))
         handler.handle_line(json.dumps({"id": "ok", "graph": "g", "seeds": [0, 23, 77]}))
         handler.drain(timeout=3)
