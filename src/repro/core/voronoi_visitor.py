@@ -3,7 +3,7 @@
 A :class:`~repro.runtime.engine.VertexProgram` implementing the
 asynchronous Bellman–Ford-style relaxation:
 
-* every seed starts with ``(src, pred, dist) = (s, s, 0)`` and visits its
+* every seed starts with ``(src, dist) = (s, 0)`` and visits its
   neighbours (``do_traversal(init_all)`` injects one bootstrap message per
   seed);
 * a visitor carries ``(vp, t, r)`` — the sending vertex, its owning seed
@@ -13,7 +13,9 @@ asynchronous Bellman–Ford-style relaxation:
   close to a smaller seed id.  The tie rule makes the converged ``(dist,
   src)`` fixpoint unique and equal to the sequential
   :func:`~repro.shortest_paths.voronoi.compute_voronoi_cells` result (the
-  integration tests assert bit-equality);
+  integration tests assert bit-equality).  The program keeps no
+  predecessor: the solver derives the canonical one from the converged
+  ``(src, dist)`` (:func:`~repro.shortest_paths.voronoi.canonicalize_predecessors`);
 * on adoption the vertex notifies its neighbours; with **delegate**
   partitioning, a high-degree vertex instead fans out one ``expand``
   message per rank holding a slice of its adjacency, and each slice rank
@@ -31,36 +33,40 @@ from typing import Any, Callable, Iterator, Tuple
 import numpy as np
 
 from repro.runtime.partition import PartitionedGraph
+from repro.shortest_paths.vectorized import adopt_lexmin, out_arcs
 from repro.shortest_paths.voronoi import INF, NO_VERTEX
 
 __all__ = ["VoronoiProgram"]
 
 
 class VoronoiProgram:
-    """Alg. 4 as an engine program.  Holds the per-vertex state arrays.
+    """Alg. 4 as an engine program.  Holds the per-vertex state arrays
+    ``src`` (owning seed, :data:`NO_VERTEX` until reached) and ``dist``
+    (distance to it, :data:`INF` until reached).
 
     Payload formats
     ---------------
     vertex message  ``(vp, t, r)``:
-        relax the visited vertex with candidate ``(dist=r, src=t,
-        pred=vp)``.
+        relax the visited vertex with candidate ``(dist=r, src=t)``;
+        ``vp``, the sending vertex, only orders equal candidates
+        (:meth:`sort_key`) and marks a seed's bootstrap self-visit.
     rank message ``("expand", u, t, r)``:
         scan the local adjacency slice of delegate ``u`` (whose state is
         ``(t, r)``) and emit relax messages to its neighbours.
     """
 
-    __slots__ = ("part", "src", "pred", "dist", "_indptr", "_indices", "_weights")
+    __slots__ = ("part", "src", "dist", "_indptr", "_indices", "_weights", "_degrees")
 
     def __init__(self, partition: PartitionedGraph) -> None:
         self.part = partition
         n = partition.graph.n_vertices
         self.src = np.full(n, NO_VERTEX, dtype=np.int64)
-        self.pred = np.full(n, NO_VERTEX, dtype=np.int64)
         self.dist = np.full(n, INF, dtype=np.int64)
         g = partition.graph
         self._indptr = g.indptr
         self._indices = g.indices
         self._weights = g.weights
+        self._degrees = g.degree()
 
     # ------------------------------------------------------------------ #
     def initial_messages(
@@ -74,7 +80,6 @@ class VoronoiProgram:
         for s in seeds:
             s = int(s)
             self.src[s] = s
-            self.pred[s] = s
             self.dist[s] = 0
             yield (s, (s, s, 0))
 
@@ -118,7 +123,6 @@ class VoronoiProgram:
         if r < dv or (r == dv and t < sv):
             self.dist[vertex] = r
             self.src[vertex] = t
-            self.pred[vertex] = vp
             self._expand(vertex, t, r, emit)
 
     def visit_rank(
@@ -164,43 +168,20 @@ class VoronoiProgram:
         """One superstep of relaxations over message arrays.
 
         Per vertex, a superstep under the total :meth:`sort_key` order
-        accepts exactly the lexicographic-minimum improving candidate
-        (every later candidate compares ``>=`` the adopted state, so the
-        improvement test fails) — computed here as a sorted per-vertex
-        reduction instead of one Python callback per message.
+        accepts exactly the lexicographic-minimum improving ``(r, t)``
+        candidate (every later candidate compares ``>=`` the adopted
+        state, so the improvement test fails) — computed here by
+        :func:`~repro.shortest_paths.vectorized.adopt_lexmin` instead of
+        one Python callback per message.
         """
         vp, t, r = payload[:, 0], payload[:, 1], payload[:, 2]
-        # seed bootstrap messages expand unconditionally (Alg. 3 init)
+        adopted = adopt_lexmin(targets, r, t, self.dist, self.src)
+        # a seed's bootstrap message offers the state the seed already
+        # holds, so it adopts nothing; it expands unconditionally
         boot = (vp == targets) & (t == targets) & (r == 0)
-        cand = ~boot
-        acc_v = acc_t = acc_r = np.zeros(0, dtype=np.int64)
-        if cand.any():
-            tgt_c, vp_c, t_c, r_c = targets[cand], vp[cand], t[cand], r[cand]
-            # per-vertex lexicographic minimum of (r, t, vp): sort by
-            # (tgt, r, t, vp) and keep each vertex's first row.  (A
-            # packed np.minimum.at reduction would need (r, t, vp) to
-            # fit one int64, which astronomical weights rule out.)
-            order = np.lexsort((vp_c, t_c, r_c, tgt_c))
-            tgt_s = tgt_c[order]
-            first = np.ones(tgt_s.size, dtype=bool)
-            first[1:] = tgt_s[1:] != tgt_s[:-1]
-            sel = order[first]
-            v, rv, tv, pv = tgt_c[sel], r_c[sel], t_c[sel], vp_c[sel]
-            improve = (rv < self.dist[v]) | (
-                (rv == self.dist[v]) & (tv < self.src[v])
-            )
-            acc_v, acc_r, acc_t, acc_p = (
-                v[improve], rv[improve], tv[improve], pv[improve],
-            )
-            self.dist[acc_v] = acc_r
-            self.src[acc_v] = acc_t
-            self.pred[acc_v] = acc_p
-        self._batch_expand(
-            np.concatenate([targets[boot], acc_v]),
-            np.concatenate([t[boot], acc_t]),
-            np.concatenate([r[boot], acc_r]),
-            emitter,
-        )
+        if boot.any():
+            adopted = np.concatenate([targets[boot], adopted])
+        self._batch_expand(adopted, emitter)
 
     def batch_visit_rank(
         self, ranks: np.ndarray, payload: np.ndarray, emitter: Any
@@ -224,54 +205,30 @@ class VoronoiProgram:
                 )
 
     # ------------------------------------------------------------------ #
-    def _batch_expand(
-        self,
-        vs: np.ndarray,
-        ts: np.ndarray,
-        rs: np.ndarray,
-        emitter: Any,
-    ) -> None:
-        """Vectorised :meth:`_expand` for every adopting vertex at once:
-        neighbour targets gathered with ``np.repeat`` over CSR rows."""
-        if vs.size == 0:
-            return
+    def _batch_expand(self, vs: np.ndarray, emitter: Any) -> None:
+        """Vectorised :meth:`_expand` for every adopting vertex at once,
+        each with its just-adopted ``(src, dist)``: neighbour targets
+        gathered with ``np.repeat`` over CSR rows (:func:`out_arcs`)."""
         part = self.part
         owner = part.owner
         if part.delegates.size:
             deleg = part.delegate_mask(vs)
-            for v, t, r in zip(vs[deleg], ts[deleg], rs[deleg]):
+            for v in vs[deleg]:
                 slices = part.slice_ranks(int(v))
                 out = np.empty((slices.size, 3), dtype=np.int64)
                 out[:, 0] = v
-                out[:, 1] = t
-                out[:, 2] = r
+                out[:, 1] = self.src[v]
+                out[:, 2] = self.dist[v]
                 emitter.emit(
                     np.full(slices.size, owner[v], dtype=np.int64),
                     -slices.astype(np.int64) - 1,
                     out,
                 )
-            vs, ts, rs = vs[~deleg], ts[~deleg], rs[~deleg]
-            if vs.size == 0:
-                return
-        indptr = self._indptr
-        starts = indptr[vs].astype(np.int64)
-        counts = (indptr[vs + 1] - indptr[vs]).astype(np.int64)
-        total = int(counts.sum())
-        if total == 0:
-            return
-        offsets = np.cumsum(counts) - counts
-        arc_idx = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(offsets, counts)
-            + np.repeat(starts, counts)
-        )
-        out = np.empty((total, 3), dtype=np.int64)
-        out[:, 0] = np.repeat(vs, counts)
-        out[:, 1] = np.repeat(ts, counts)
-        out[:, 2] = np.repeat(rs, counts) + self._weights[arc_idx]
-        emitter.emit(
-            np.repeat(owner[vs], counts).astype(np.int64),
-            self._indices[arc_idx].astype(np.int64),
-            out,
-        )
-
+            vs = vs[~deleg]
+        arcs, tails = out_arcs(vs, self._indptr, self._degrees)
+        if arcs.size:
+            out = np.empty((arcs.size, 3), dtype=np.int64)
+            out[:, 0] = tails
+            out[:, 1] = self.src[tails]
+            out[:, 2] = self.dist[tails] + self._weights[arcs]
+            emitter.emit(owner[tails], self._indices[arcs], out)

@@ -51,6 +51,7 @@ class CSRGraph:
         "_n_vertices",
         "_content_hash",
         "_edge_array",
+        "_distance_bound",
     )
 
     def __init__(
@@ -81,6 +82,7 @@ class CSRGraph:
         self._n_vertices = indptr.size - 1
         self._content_hash: str | None = None
         self._edge_array: Tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._distance_bound: int | None = None
 
     # ------------------------------------------------------------------ #
     # construction
@@ -320,8 +322,21 @@ class CSRGraph:
         return self.indptr.nbytes + self.indices.nbytes + self.weights.nbytes
 
     def total_weight(self) -> int:
-        """Sum of all undirected edge weights."""
-        return int(self.weights.sum()) // 2
+        """Sum of all undirected edge weights, exact past int64."""
+        w = self.weights
+        if w.size and int(w.max()) * w.size > np.iinfo(np.int64).max:
+            return sum(w.tolist()) // 2
+        return int(w.sum()) // 2
+
+    def distance_bound(self) -> int:
+        """The undirected weight sum plus the largest weight, memoised:
+        a bound on every distance (a simple path), candidate ``dist + w``
+        and distance-graph weight ``d'`` (two shortest paths in disjoint
+        cells joined by one edge) that a solve forms."""
+        if self._distance_bound is None:
+            top = int(self.weights.max()) if self.weights.size else 0
+            self._distance_bound = self.total_weight() + top
+        return self._distance_bound
 
     def content_hash(self) -> str:
         """SHA-256 over the CSR arrays, memoised on the instance.

@@ -15,7 +15,8 @@ operations supplied by the *program* through the batch protocol:
     Process all vertex-addressed messages of one superstep: update the
     program state and push emissions through the
     :class:`BatchEmitter` (bulk neighbour gather via ``np.repeat`` on
-    the CSR, per-vertex candidate reduction, see
+    the CSR, per-vertex candidate reduction by
+    :func:`repro.shortest_paths.vectorized.adopt_lexmin`, see
     :meth:`repro.core.voronoi_visitor.VoronoiProgram.batch_visit`).
 ``batch_visit_rank(ranks, payload, emitter)``
     Same for rank-addressed messages (delegate slice expansion).
@@ -99,6 +100,8 @@ class BatchEmitter:
         if not self._targets:
             empty = np.zeros(0, dtype=np.int64)
             return empty, empty, np.zeros((0, self._width), dtype=np.int64)
+        if len(self._targets) == 1:
+            return self._src[0], self._targets[0], self._payload[0]
         return (
             np.concatenate(self._src),
             np.concatenate(self._targets),
@@ -150,6 +153,14 @@ class BSPBatchedEngine(BSPEngine):
         width = program.batch_payload_width
         stats = PhaseStats(name=name, busy_time=np.zeros(n_ranks))
 
+        def route(tgts: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
+            # the rank processing each message (the addressed rank, or the
+            # owner of the addressed vertex) and the rank-message mask, if any
+            is_rank = tgts < 0
+            if not is_rank.any():
+                return owner[tgts], None
+            return np.where(is_rank, -tgts - 1, owner[np.maximum(tgts, 0)]), is_rank
+
         rows = [
             (target, program.batch_encode(target, payload))
             for target, payload in initial_messages
@@ -158,6 +169,7 @@ class BSPBatchedEngine(BSPEngine):
         payload = np.asarray(
             [r for _, r in rows], dtype=np.int64
         ).reshape(-1, width)
+        proc_rank, is_rank = route(targets)
 
         barrier = machine.allreduce_time(n_ranks, 8) + machine.message_delay(
             n_ranks > 1
@@ -178,20 +190,16 @@ class BSPBatchedEngine(BSPEngine):
                 stats.peak_queue_total = int(targets.size)
             stats.n_visits += int(targets.size)
 
-            # the rank processing each inbox message: the addressed rank,
-            # or the owner of the addressed vertex
-            is_rank = targets < 0
-            proc_rank = np.where(
-                is_rank, -targets - 1, owner[np.maximum(targets, 0)]
-            )
             emitter = BatchEmitter(width)
-            if is_rank.any():
+            if is_rank is None:
+                program.batch_visit(targets, payload, emitter)
+            else:
                 program.batch_visit_rank(
                     -targets[is_rank] - 1, payload[is_rank], emitter
                 )
-            vmask = ~is_rank
-            if vmask.any():
-                program.batch_visit(targets[vmask], payload[vmask], emitter)
+                vmask = ~is_rank
+                if vmask.any():
+                    program.batch_visit(targets[vmask], payload[vmask], emitter)
             src_ranks, out_targets, out_payload = emitter.drain()
 
             # vectorised cost-model accounting: t_visit per processed
@@ -202,12 +210,10 @@ class BSPBatchedEngine(BSPEngine):
             stats.busy_time += step_rank_time
             total_time += float(step_rank_time.max()) + barrier
 
-            dest = np.where(
-                out_targets < 0,
-                -out_targets - 1,
-                owner[np.maximum(out_targets, 0)],
-            )
-            n_local = int((dest == src_ranks).sum())
+            # each emission's destination is the next superstep's
+            # processing rank
+            proc_rank, is_rank = route(out_targets)
+            n_local = int(np.count_nonzero(proc_rank == src_ranks))
             stats.n_messages_local += n_local
             stats.n_messages_remote += int(out_targets.size) - n_local
             stats.bytes_sent += int(out_targets.size) * machine.bytes_per_message

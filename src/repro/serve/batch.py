@@ -56,7 +56,10 @@ def stack_graphs(graph: CSRGraph, n_copies: int) -> CSRGraph:
     )
     indices = np.concatenate([graph.indices + r * n for r in reps])
     weights = np.tile(graph.weights, n_copies)
-    return CSRGraph(indptr, indices, weights)
+    stacked = CSRGraph(indptr, indices, weights)
+    # no path crosses copies, so one copy's distance bound holds for all
+    stacked._distance_bound = graph.distance_bound()
+    return stacked
 
 
 class FusedSweep:

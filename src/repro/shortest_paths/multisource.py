@@ -34,11 +34,11 @@ import numpy as np
 
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
+from repro.seeds.selection import validate_seed_set
 from repro.shortest_paths.voronoi import (
     INF,
     NO_VERTEX,
     VoronoiDiagram,
-    _validate_seeds,
     canonicalize_predecessors,
 )
 
@@ -59,7 +59,7 @@ def compute_voronoi_cells_spfa(
     neighbours.  Converges to the same fixpoint as the Dijkstra-order
     reference; predecessors are canonicalised for bit-equality.
     """
-    seeds_arr = _validate_seeds(graph, seeds)
+    seeds_arr = validate_seed_set(graph, seeds)
     n = graph.n_vertices
     src = np.full(n, NO_VERTEX, dtype=np.int64)
     dist = np.full(n, INF, dtype=np.int64)
@@ -105,7 +105,7 @@ def compute_voronoi_cells_delta_stepping(
     considered and rejected for distributed memory; sequentially it is
     a legitimate alternative, and the ablation bench compares it.
     """
-    seeds_arr = _validate_seeds(graph, seeds)
+    seeds_arr = validate_seed_set(graph, seeds)
     n = graph.n_vertices
     if delta is None:
         delta = max(1, int(graph.weights.mean())) if graph.n_arcs else 1

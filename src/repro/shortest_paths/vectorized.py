@@ -35,18 +35,18 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.arrays import sorted_unique
+from repro.arrays import run_starts, sorted_unique
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
+from repro.seeds.selection import validate_seed_set
 from repro.shortest_paths.voronoi import (
     INF,
     NO_VERTEX,
     VoronoiDiagram,
-    _validate_seeds,
     canonicalize_predecessors,
 )
 
-__all__ = ["compute_voronoi_cells_delta_numpy", "default_delta"]
+__all__ = ["adopt_lexmin", "compute_voronoi_cells_delta_numpy", "default_delta", "out_arcs"]
 
 
 def default_delta(graph: CSRGraph) -> int:
@@ -66,7 +66,7 @@ def default_delta(graph: CSRGraph) -> int:
     return max(1, int(graph.weights.mean()) // 4)
 
 
-def _out_arcs(
+def out_arcs(
     frontier: np.ndarray,
     indptr: np.ndarray,
     degrees: np.ndarray,
@@ -95,6 +95,54 @@ def _out_arcs(
 _KEY_SENTINEL = np.iinfo(np.int64).max
 
 
+def adopt_lexmin(
+    heads: np.ndarray,
+    nd: np.ndarray,
+    owner: np.ndarray,
+    dist: np.ndarray,
+    src: np.ndarray,
+) -> np.ndarray:
+    """Adopt each head's lexicographic-minimum improving candidate.
+
+    Candidate ``i`` offers vertex ``heads[i]`` the state ``(nd[i],
+    owner[i])``.  Candidates that do not improve their head's current
+    ``(dist, src)`` state are dropped; each remaining head takes the
+    smallest ``(nd, owner)`` pair offered to it, written into ``dist``
+    and ``src`` in place.  Returns the adopting vertices, ascending and
+    unique.
+
+    The reduction packs each pair into one int64 key ``nd * n + owner``
+    (``0 <= owner < n`` keeps the packing order-preserving) and reduces
+    with ``np.minimum.at``, numpy's indexed-loop fast path; when the
+    packed key could overflow it sorts the candidates instead.
+
+    >>> dist, src = np.array([0, 9, INF]), np.array([0, 0, -1])
+    >>> adopt_lexmin(
+    ...     np.array([1, 1, 2, 2, 1]), np.array([5, 5, 7, 3, 9]),
+    ...     np.array([2, 1, 0, 2, 0]), dist, src,
+    ... )
+    array([1, 2])
+    >>> dist.tolist(), src.tolist()
+    ([0, 5, 3], [0, 1, 2])
+    """
+    better = (nd < dist[heads]) | ((nd == dist[heads]) & (owner < src[heads]))
+    # rebinding frees the unfiltered arrays when the caller passed temporaries
+    heads, nd, owner = heads[better], nd[better], owner[better]
+    if heads.size == 0:
+        return heads
+    n = dist.size
+    if int(nd.max()) <= (_KEY_SENTINEL - n) // n:
+        best = np.full(n, _KEY_SENTINEL, dtype=np.int64)
+        np.minimum.at(best, heads, nd * n + owner)
+        winners = np.nonzero(best != _KEY_SENTINEL)[0]
+        dist[winners], src[winners] = np.divmod(best[winners], n)
+        return winners
+    order = np.lexsort((owner, nd, heads))
+    first = order[run_starts(heads[order])]
+    dist[heads[first]], src[heads[first]] = nd[first], owner[first]
+    return heads[first]
+
+
 def _relax(
     arc_ids: np.ndarray,
     tails: np.ndarray,
@@ -104,48 +152,13 @@ def _relax(
     src: np.ndarray,
     pending: np.ndarray,
 ) -> None:
-    """One vectorised relaxation wave over ``arc_ids``.
-
-    Candidate per arc: ``(dist[tail] + w, src[tail])`` for the head
-    vertex.  Candidates that do not improve the head's current
-    ``(dist, owner)`` state are dropped up front; among the survivors
-    the per-head lexicographic minimum is found by packing the pair
-    into one int64 key ``nd * n + owner`` (owner < n keeps the packing
-    order-preserving) and reducing with ``np.minimum.at`` — numpy's
-    indexed-loop fast path, orders of magnitude cheaper than a lexsort.
-    Falls back to the sort-based reduction if the packed key could
-    overflow (astronomical distances).
-    """
-    if arc_ids.size == 0:
-        return
-    heads = indices[arc_ids]
-    nd = dist[tails] + weights[arc_ids]
-    owner = src[tails]
-
-    better = (nd < dist[heads]) | ((nd == dist[heads]) & (owner < src[heads]))
-    heads, nd, owner = heads[better], nd[better], owner[better]
-    if heads.size == 0:
-        return
-
-    n = np.int64(dist.size)
-    if int(nd.max()) <= (_KEY_SENTINEL - int(n)) // int(n):
-        best = np.full(dist.size, _KEY_SENTINEL, dtype=np.int64)
-        np.minimum.at(best, heads, nd * n + owner)
-        winners = np.nonzero(best != _KEY_SENTINEL)[0]
-        win_nd = best[winners] // n
-        dist[winners] = win_nd
-        src[winners] = best[winners] - win_nd * n
+    """One vectorised relaxation wave over ``arc_ids``: each head adopts
+    its best ``(dist[tail] + w, src[tail])`` candidate and turns pending."""
+    if arc_ids.size:
+        winners = adopt_lexmin(
+            indices[arc_ids], dist[tails] + weights[arc_ids], src[tails], dist, src
+        )
         pending[winners] = True
-        return
-
-    order = np.lexsort((owner, nd, heads))  # pragma: no cover - overflow path
-    heads, nd, owner = heads[order], nd[order], owner[order]
-    first = np.ones(heads.size, dtype=bool)
-    first[1:] = heads[1:] != heads[:-1]
-    heads, nd, owner = heads[first], nd[first], owner[first]
-    dist[heads] = nd
-    src[heads] = owner
-    pending[heads] = True
 
 
 def compute_voronoi_cells_delta_numpy(
@@ -166,7 +179,7 @@ def compute_voronoi_cells_delta_numpy(
     delta:
         Bucket width; defaults to :func:`default_delta`.
     """
-    seeds_arr = _validate_seeds(graph, seeds)
+    seeds_arr = validate_seed_set(graph, seeds)
     n = graph.n_vertices
     if delta is None:
         delta = default_delta(graph)
@@ -203,7 +216,7 @@ def compute_voronoi_cells_delta_numpy(
                 break
             pending[in_bucket] = False
             settled.append(in_bucket)
-            arc_ids, tails = _out_arcs(in_bucket, indptr, degrees)
+            arc_ids, tails = out_arcs(in_bucket, indptr, degrees)
             keep = light[arc_ids]
             _relax(
                 arc_ids[keep], tails[keep], indices, weights, dist, src, pending
@@ -214,7 +227,7 @@ def compute_voronoi_cells_delta_numpy(
         settled_arr = sorted_unique(np.concatenate(settled)) if settled else None
         if settled_arr is not None:
             settled_arr = settled_arr[dist[settled_arr] // delta == b]
-            arc_ids, tails = _out_arcs(settled_arr, indptr, degrees)
+            arc_ids, tails = out_arcs(settled_arr, indptr, degrees)
             keep = ~light[arc_ids]
             _relax(
                 arc_ids[keep], tails[keep], indices, weights, dist, src, pending

@@ -27,8 +27,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.errors import GraphError, SeedError
+from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
+from repro.seeds.selection import validate_seed_set
 
 __all__ = [
     "INF",
@@ -95,17 +96,6 @@ class VoronoiDiagram:
         return path
 
 
-def _validate_seeds(graph: CSRGraph, seeds: Sequence[int]) -> np.ndarray:
-    arr = np.asarray(sorted(int(s) for s in seeds), dtype=np.int64)
-    if arr.size == 0:
-        raise SeedError("seed set must be non-empty")
-    if (arr[1:] == arr[:-1]).any():  # sorted: duplicates are adjacent
-        raise SeedError("seed set contains duplicates")
-    if arr[0] < 0 or arr[-1] >= graph.n_vertices:
-        raise SeedError("seed vertex id out of range")
-    return arr
-
-
 def compute_voronoi_cells(graph: CSRGraph, seeds: Sequence[int]) -> VoronoiDiagram:
     """Compute the Voronoi diagram of ``seeds`` over ``graph``.
 
@@ -120,7 +110,7 @@ def compute_voronoi_cells(graph: CSRGraph, seeds: Sequence[int]) -> VoronoiDiagr
     independence from the seed count is exactly why the paper prefers
     Voronoi cells over APSP (its Table I).
     """
-    seeds_arr = _validate_seeds(graph, seeds)
+    seeds_arr = validate_seed_set(graph, seeds)
     n = graph.n_vertices
     src: np.ndarray = np.full(n, NO_VERTEX, dtype=np.int64)
     pred = np.full(n, NO_VERTEX, dtype=np.int64)

@@ -39,6 +39,38 @@ def component_seeds(graph: CSRGraph, k: int, *, seed: int = 0) -> np.ndarray:
     return np.sort(rng.choice(comp, size=k, replace=False)).astype(np.int64)
 
 
+def astronomical_chain(n: int = 49) -> CSRGraph:
+    """The path ``0 - 1 - ... - n-1`` with weights near ``5 * 10**16``.
+
+    With seeds at both ends its distances pass the packed-key guard of
+    :func:`repro.shortest_paths.vectorized.adopt_lexmin` (see
+    :func:`packed_key_guard`) after a few hops, so every later reduction
+    takes the sort-based path, while the weight sum stays far below the
+    int64 refusal bound.  The weights are mirror-symmetric and ``n`` is odd, so
+    both ends reach the middle vertex in the same reduction at an equal
+    distance and only the smaller-seed tie-break decides its owner.
+    """
+    i = np.arange(n - 1, dtype=np.int64)
+    weights = 5 * 10**16 + 7 * np.minimum(i, n - 2 - i)
+    return CSRGraph.from_edges(n, np.stack([i, i + 1], axis=1), weights)
+
+
+def near_bound_graph(seed: int = 3) -> CSRGraph:
+    """A random connected graph scaled so that
+    :meth:`CSRGraph.distance_bound` sits just below the int64 maximum:
+    the largest weights an accepted graph of this shape may carry."""
+    g = make_connected_graph(14, 30, seed=seed)
+    src, dst, w = g.edge_array()
+    scale = (int(np.iinfo(np.int64).max) - 1) // g.distance_bound()
+    return CSRGraph.from_edges(g.n_vertices, np.stack([src, dst], axis=1), w * scale)
+
+
+def packed_key_guard(n: int) -> int:
+    """Largest distance the packed ``dist * n + owner`` key holds on an
+    ``n``-vertex graph; the reduction sorts past it."""
+    return (int(np.iinfo(np.int64).max) - n) // n
+
+
 @pytest.fixture
 def small_grid() -> CSRGraph:
     """6x6 unit-weight grid (deterministic topology)."""

@@ -43,7 +43,12 @@ from repro.shortest_paths.voronoi import (
     compute_voronoi_cells,
 )
 from repro.validation import validate_voronoi_diagram
-from tests.conftest import component_seeds, make_connected_graph
+from tests.conftest import (
+    astronomical_chain,
+    component_seeds,
+    make_connected_graph,
+    packed_key_guard,
+)
 
 PROPERTY = settings(
     max_examples=40,
@@ -151,6 +156,16 @@ class TestBackendEquivalence:
         )
         res = verify_backends_agree(graph, [0, 4])
         assert res.dist.max() < np.iinfo(np.int64).max  # all reached
+
+    def test_packed_key_overflow_fallback(self):
+        # distances past the packed (dist, owner) key's guard: delta-numpy
+        # reduces by sorting there and must still match the reference,
+        # the middle vertex's equal-distance tie included
+        graph = astronomical_chain()
+        n = graph.n_vertices
+        res = verify_backends_agree(graph, [0, n - 1], ["dijkstra", "delta-numpy"])
+        assert res.dist.max() > packed_key_guard(n)
+        assert res.src[n // 2] == 0
 
 
 class TestVectorizedDeltaStepping:

@@ -125,6 +125,12 @@ class TestQueries:
     def test_total_weight(self):
         assert tiny().total_weight() == 5 + 7 + 2 + 9
 
+    def test_distance_bound_is_exact_past_int64(self):
+        assert tiny().distance_bound() == 5 + 7 + 2 + 9 + 9
+        g = CSRGraph.from_edges(4, [[0, 1], [1, 2], [2, 3]], [2**62] * 3)
+        assert g.total_weight() == 3 * 2**62
+        assert g.distance_bound() == 4 * 2**62
+
     def test_nbytes_positive(self):
         assert tiny().nbytes() > 0
 

@@ -7,9 +7,10 @@ approximates the same checks with the stdlib: tier-1 catches broken
 cross-references locally, the strict build catches them again (plus
 anything mkdocs-specific) in CI.
 
-The doctest half is the contract-docstring spot-check for the runtime
-modules: the examples embedded in ``repro.runtime.engines`` and
-``engine_batched`` must execute.
+The doctest half is the contract-docstring spot-check: the examples
+embedded in ``repro.runtime.engines``, ``engine_batched``,
+``repro.arrays`` and ``repro.shortest_paths.vectorized`` must execute,
+the same module list the CI ``docs`` job doctests.
 """
 
 from __future__ import annotations
@@ -116,13 +117,25 @@ class TestDocsSite:
             assert f"`{name}`" in backends_page, name
 
 
+#: the modules the CI ``docs`` job doctests
+DOCTEST_MODULES = (
+    "repro.runtime.engines",
+    "repro.runtime.engine_batched",
+    "repro.arrays",
+    "repro.shortest_paths.vectorized",
+)
+
+
 class TestDoctests:
     """The CI doctest spot-check, mirrored locally."""
 
-    @pytest.mark.parametrize(
-        "module_name",
-        ["repro.runtime.engines", "repro.runtime.engine_batched", "repro.arrays"],
-    )
+    def test_ci_step_doctests_the_same_modules(self):
+        ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+        step = ci.split("python -m doctest", 1)[1].split("- name:", 1)[0]
+        paths = re.findall(r"src/(\S+)\.py", step)
+        assert tuple(p.replace("/", ".") for p in paths) == DOCTEST_MODULES
+
+    @pytest.mark.parametrize("module_name", DOCTEST_MODULES)
     def test_runtime_module_doctests(self, module_name):
         import importlib
 

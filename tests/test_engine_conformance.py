@@ -29,7 +29,13 @@ from repro.core.solver import DistributedSteinerSolver
 from repro.graph.generators import grid_graph
 from repro.graph.weights import assign_uniform_weights
 from repro.runtime.engines import available_engines
-from tests.conftest import component_seeds, make_connected_graph
+from repro.shortest_paths.voronoi import compute_voronoi_cells
+from tests.conftest import (
+    astronomical_chain,
+    component_seeds,
+    make_connected_graph,
+    packed_key_guard,
+)
 
 #: the engine counters that must match bit-for-bit across the BSP family
 COUNTERS = (
@@ -157,3 +163,22 @@ class TestConformanceMatrix:
         assert set(names) >= {"async-heap", "bsp", "bsp-batched"}
         # and the family split is total over the discovered axis
         assert all(n in BSP_FAMILY or n == "async-heap" for n in names)
+
+
+class TestPackedKeyFallback:
+    """Distances past the packed-key guard: ``bsp-batched`` reduces each
+    superstep's candidates by sorting and must still match ``bsp`` and
+    the Dijkstra reference."""
+
+    def test_chain_past_the_guard(self):
+        graph = astronomical_chain()
+        n = graph.n_vertices
+        seeds = [0, n - 1]
+        ref = compute_voronoi_cells(graph, seeds)
+        assert ref.dist.max() > packed_key_guard(n)
+        results = assert_conformance(
+            graph, seeds, engines=BSP_FAMILY, collect_diagram=True
+        )
+        for engine, res in results.items():
+            assert np.array_equal(res.diagram.dist, ref.dist), engine
+            assert np.array_equal(res.diagram.src, ref.src), engine

@@ -39,7 +39,7 @@ from repro.serve import (
 )
 from repro.shortest_paths.backends import available_backends, compute_multisource
 
-from tests.conftest import component_seeds, make_connected_graph
+from tests.conftest import component_seeds, make_connected_graph, near_bound_graph
 
 SLOW = settings(
     max_examples=15,
@@ -81,6 +81,19 @@ class TestStackGraphs:
     def test_rejects_zero_copies(self, graph):
         with pytest.raises(ValueError):
             stack_graphs(graph, 0)
+
+    def test_stacks_a_graph_near_the_int64_bound(self):
+        # the copies' weight sums add past int64, but no distance crosses
+        # copies: the fused sweep answers each request like a solo sweep
+        g = near_bound_graph()
+        seed_sets = [component_seeds(g, 3, seed=s) for s in range(4)]
+        assert stack_graphs(g, 4).distance_bound() == g.distance_bound()
+        fused = fused_multisource(g, seed_sets, backend="delta-numpy")
+        for seeds, diagram in zip(seed_sets, fused.diagrams):
+            solo = compute_multisource(g, seeds, backend="dijkstra").diagram
+            assert np.array_equal(diagram.src, solo.src)
+            assert np.array_equal(diagram.dist, solo.dist)
+            assert np.array_equal(diagram.pred, solo.pred)
 
 
 class TestFusedSweep:

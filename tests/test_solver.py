@@ -10,11 +10,14 @@ from repro.core.config import SolverConfig
 from repro.core.result import PHASE_NAMES
 from repro.core.sequential import sequential_steiner_tree
 from repro.core.solver import DistributedSteinerSolver, distributed_steiner_tree
-from repro.errors import DisconnectedSeedsError
+from repro.errors import DisconnectedSeedsError, GraphError
 from repro.graph.csr import CSRGraph
+from repro.runtime.engines import available_engines
+from repro.shortest_paths.backends import available_backends, compute_multisource
 from repro.shortest_paths.dijkstra import dijkstra
+from repro.shortest_paths.voronoi import compute_voronoi_cells
 from repro.validation import validate_steiner_tree
-from tests.conftest import component_seeds, make_connected_graph
+from tests.conftest import component_seeds, make_connected_graph, near_bound_graph
 
 
 class TestSequentialReference:
@@ -179,3 +182,58 @@ class TestSolverConfig:
 
         cfg = SolverConfig(discipline="fifo")
         assert cfg.discipline is QueueDiscipline.FIFO
+
+
+class TestInt64DistanceRange:
+    """A graph whose distances could overflow int64 is refused before any
+    sweep runs; one just under the bound solves exactly on every path."""
+
+    @staticmethod
+    def path(weight):
+        return CSRGraph.from_edges(4, [[0, 1], [1, 2], [2, 3]], [weight] * 3)
+
+    def test_overflowing_graph_refused_on_every_path(self):
+        g = self.path(2**62)  # the path sums 3 * 2**62 wrap int64
+        with pytest.raises(GraphError, match="overflow"):
+            sequential_steiner_tree(g, [0, 3], voronoi_backend="dijkstra")
+        for backend in available_backends():
+            with pytest.raises(GraphError, match="overflow"):
+                compute_multisource(g, [0, 3], backend=backend)
+        for engine in available_engines():
+            for backend in (None, "delta-numpy"):
+                solver = DistributedSteinerSolver(
+                    g, engine=engine, voronoi_backend=backend
+                )
+                with pytest.raises(GraphError, match="overflow"):
+                    solver.solve([0, 3])
+
+    def test_graph_at_the_edge_may_be_refused(self):
+        # its distances (at most 3 * 2**61) fit, but the conservative
+        # bound, weight sum plus largest weight, reaches 2**63
+        with pytest.raises(GraphError, match="overflow"):
+            sequential_steiner_tree(self.path(2**61), [0, 3])
+        res = sequential_steiner_tree(self.path(2**61 - 1), [0, 3])
+        assert res.total_distance == 3 * (2**61 - 1)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_near_bound_matches_dijkstra_everywhere(self, seed):
+        g = near_bound_graph(seed)
+        assert np.iinfo(np.int64).max // 2 < g.distance_bound() < np.iinfo(np.int64).max
+        seeds = component_seeds(g, 4, seed=seed)
+        ref_vd = compute_voronoi_cells(g, seeds)
+        ref = sequential_steiner_tree(g, seeds, voronoi_backend="dijkstra")
+        validate_steiner_tree(g, seeds, ref.edges)
+        assert ref.total_distance == sum(int(w) for w in ref.edges[:, 2])
+        results = [sequential_steiner_tree(g, seeds, voronoi_backend="delta-numpy")]
+        for engine in available_engines():
+            for backend in (None, "delta-numpy"):
+                results.append(
+                    DistributedSteinerSolver(
+                        g, engine=engine, voronoi_backend=backend, collect_diagram=True
+                    ).solve(seeds)
+                )
+        for res in results:
+            assert np.array_equal(res.edges, ref.edges)
+            assert res.total_distance == ref.total_distance
+            assert np.array_equal(res.diagram.dist, ref_vd.dist)
+            assert np.array_equal(res.diagram.src, ref_vd.src)
