@@ -1,9 +1,10 @@
-"""Benchmark the pluggable multi-source shortest-path backends.
+"""Benchmark the multi-source shortest-path backends.
 
-Times every registered backend (``repro.shortest_paths.backends``) on
+Times every entry of ``repro.shortest_paths.backends.BACKENDS`` on
 generator graphs, verifies they agree bit-for-bit before any number is
 recorded, and writes ``BENCH_backends.json`` — the perf-trajectory
-record the CI bench-smoke job uploads as an artifact.
+record the CI bench-smoke job uploads as an artifact.  Each time is the
+wall clock around one backend call, best of ``--repeats``.
 
 Usage::
 
@@ -27,14 +28,12 @@ written into the record's ``gate`` object.
 from __future__ import annotations
 
 import sys
+import time
 from pathlib import Path
 
-from repro.shortest_paths.backends import (
-    DEFAULT_BACKEND,
-    available_backends,
-    compute_multisource,
-    verify_backends_agree,
-)
+import numpy as np
+
+from repro.shortest_paths.backends import BACKENDS
 
 # loaded by file path too (tests/test_bench_floors.py), so put the
 # shared helpers' directory on the path explicitly
@@ -46,23 +45,34 @@ from bench_common import parse_args, pick_seeds, run  # noqa: E402
 
 #: the vectorisation gate: delta-numpy vs the dijkstra reference
 GATED_BACKEND = "delta-numpy"
-REFERENCE_BACKEND = DEFAULT_BACKEND
+REFERENCE_BACKEND = "dijkstra"
 
 
 def bench_graph(name: str, builder, k: int, repeats: int) -> dict:
-    """Time every registered backend on one graph; returns the record."""
+    """Time every backend on one graph; returns the record."""
     graph = builder()
     seeds = pick_seeds(graph, k)
-    backend_names = available_backends()
-    # never record numbers for wrong answers
-    verify_backends_agree(graph, seeds, backends=backend_names)
+    # never record numbers for wrong answers: every diagram must equal
+    # the reference's bit-for-bit
+    diagrams = {backend: sweep(graph, seeds) for backend, sweep in BACKENDS.items()}
+    for backend, vd in diagrams.items():
+        for field in ("dist", "src", "pred"):
+            if not np.array_equal(
+                getattr(vd, field), getattr(diagrams[REFERENCE_BACKEND], field)
+            ):
+                raise AssertionError(
+                    f"backend {backend!r} disagrees with {REFERENCE_BACKEND!r} "
+                    f"on {field}"
+                )
+
+    def seconds(sweep) -> float:
+        t0 = time.perf_counter()
+        sweep(graph, seeds)
+        return time.perf_counter() - t0
 
     backends: dict[str, dict] = {}
-    for backend in backend_names:
-        best = min(
-            compute_multisource(graph, seeds, backend=backend).elapsed_s
-            for _ in range(repeats)
-        )
+    for backend, sweep in BACKENDS.items():
+        best = min(seconds(sweep) for _ in range(repeats))
         backends[backend] = {"seconds": round(best, 6)}
     ref = backends[REFERENCE_BACKEND]["seconds"]
     for record in backends.values():

@@ -1,11 +1,13 @@
-"""Benchmark the pluggable runtime engines.
+"""Benchmark the runtime engines.
 
-Times every registered engine (``repro.runtime.engines``) driving the
+Times every entry of ``repro.runtime.engines.ENGINES`` driving the
 Voronoi-cell program over a partitioned generator graph, verifies the
 converged ``(src, dist)`` state is identical — and that the batched BSP
 engine reproduces the per-message BSP engine's message counts exactly —
 before any number is recorded, and writes ``BENCH_engines.json``: the
 perf-trajectory record the CI bench-smoke job uploads as an artifact.
+Each time is the wall clock around one ``run_phase`` call on a fresh
+engine and program, best of ``--repeats``.
 
 Usage::
 
@@ -32,22 +34,21 @@ written into the record's ``gate`` object.  ``--min-speedup`` needs
 usage error (exit 2) before any timing.
 
 Determinism: every graph is built from fixed generator seeds, seeds are
-drawn from a fixed RNG and engines iterate in registry order (default
-first, rest alphabetical) — so everything in two bench logs except the
-wall-clock columns is identical line-for-line.
+drawn from a fixed RNG and engines iterate in ``ENGINES`` order — so
+everything in two bench logs except the wall-clock columns is identical
+line-for-line.
 """
 
 from __future__ import annotations
 
 import sys
+import time
 from pathlib import Path
 
+import numpy as np
+
 from repro.core.voronoi_visitor import VoronoiProgram
-from repro.runtime.engines import (
-    available_engines,
-    run_phase_with,
-    verify_engines_agree,
-)
+from repro.runtime.engines import ENGINES, make_engine
 from repro.runtime.partition import block_partition
 
 # loaded by file path too (tests/test_bench_floors.py), so put the
@@ -66,55 +67,58 @@ REFERENCE_ENGINE = "bsp"
 N_RANKS = 16
 
 
+def run_voronoi(engine_name: str, partition, seeds) -> tuple:
+    """One Voronoi-cell phase on a fresh engine and program; returns the
+    program, the engine, its stats and the wall seconds spent inside
+    ``run_phase``."""
+    program = VoronoiProgram(partition)
+    messages = list(program.initial_messages(seeds))
+    engine = make_engine(engine_name, partition)
+    t0 = time.perf_counter()
+    stats = engine.run_phase("Voronoi Cell", program, messages)
+    return program, engine, stats, time.perf_counter() - t0
+
+
+def verify_engines(partition, seeds) -> None:
+    """Never record numbers for wrong answers: every engine must reach the
+    identical ``(src, dist)`` state, and the whole BSP family must match
+    the reference engine's message counts exactly."""
+    runs = {engine: run_voronoi(engine, partition, seeds) for engine in ENGINES}
+    ref_name = next(iter(runs))
+    ref_prog = runs[ref_name][0]
+    ref_stats = runs[REFERENCE_ENGINE][2]
+    for engine, (prog, _, stats, _) in runs.items():
+        if not (
+            np.array_equal(prog.src, ref_prog.src)
+            and np.array_equal(prog.dist, ref_prog.dist)
+        ):
+            raise AssertionError(f"engine {engine!r} disagrees with {ref_name!r}")
+        if engine.startswith("bsp") and (
+            stats.n_messages_local,
+            stats.n_messages_remote,
+        ) != (ref_stats.n_messages_local, ref_stats.n_messages_remote):
+            raise AssertionError(
+                f"{engine} message counts diverged from {REFERENCE_ENGINE}"
+            )
+
+
 def bench_graph(name: str, builder, k: int, repeats: int) -> dict:
-    """Time every registered engine on one graph; returns the record."""
+    """Time every engine on one graph; returns the record."""
     graph = builder()
     seeds = pick_seeds(graph, k)
     partition = block_partition(graph, N_RANKS)
-    engine_names = available_engines()
-
-    def fresh_program() -> VoronoiProgram:
-        return VoronoiProgram(partition)
-
-    # never record numbers for wrong answers: states must be identical,
-    # and the whole BSP family must agree on message counts exactly
-    verified = verify_engines_agree(
-        partition,
-        fresh_program,
-        lambda prog: prog.initial_messages(seeds),
-        lambda prog: (prog.src, prog.dist),
-        engines=engine_names,
-    )
-    ref_stats = verified[REFERENCE_ENGINE].stats
-    for gated in engine_names:
-        if not gated.startswith("bsp") or gated == REFERENCE_ENGINE:
-            continue
-        gated_stats = verified[gated].stats
-        if (ref_stats.n_messages_local, ref_stats.n_messages_remote) != (
-            gated_stats.n_messages_local,
-            gated_stats.n_messages_remote,
-        ):
-            raise AssertionError(
-                f"{gated} message counts diverged from {REFERENCE_ENGINE}"
-            )
+    verify_engines(partition, seeds)
 
     engines: dict[str, dict] = {}
-    for engine in engine_names:
+    for engine in ENGINES:
         best = None
         for _ in range(repeats):
-            prog = fresh_program()
-            result = run_phase_with(
-                engine,
-                partition,
-                prog,
-                list(prog.initial_messages(seeds)),
-                name="Voronoi Cell",
-            )
-            if best is None or result.elapsed_s < best["seconds"]:
+            _, eng, stats, seconds = run_voronoi(engine, partition, seeds)
+            if best is None or seconds < best["seconds"]:
                 best = {
-                    "seconds": round(result.elapsed_s, 6),
-                    "messages": result.stats.n_messages,
-                    "supersteps": result.n_supersteps,
+                    "seconds": round(seconds, 6),
+                    "messages": stats.n_messages,
+                    "supersteps": getattr(eng, "n_supersteps", None),
                 }
         engines[engine] = best
     ref = engines[REFERENCE_ENGINE]["seconds"]

@@ -9,7 +9,7 @@ from repro.core.config import SolverConfig
 from repro.core.solver import DistributedSteinerSolver
 from repro.harness.datasets import load_dataset
 from repro.seeds.selection import select_seeds
-from repro.shortest_paths.backends import available_backends, get_backend
+from repro.shortest_paths.backends import BACKENDS
 from repro.shortest_paths.multisource import (
     compute_voronoi_cells_delta_stepping,
     compute_voronoi_cells_spfa,
@@ -82,13 +82,13 @@ def test_near_shortest_exploration(benchmark, epsilon):
     benchmark.extra_info["n_edges"] = result.n_edges
 
 
-@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("backend", list(BACKENDS))
 def test_voronoi_backends(benchmark, seeds_cache, backend):
-    """The registered sweep backends: the pure-Python ``dijkstra``
+    """The sweep backends: the pure-Python ``dijkstra``
     reference vs the vectorised ``delta-numpy`` (bit-identical output;
     the speedup grows with graph size)."""
     graph = load_dataset("WDC")
     seeds = seeds_cache("WDC", K)
     benchmark.group = "voronoi backend WDC |S|=30"
     benchmark.extra_info["backend"] = backend
-    benchmark.pedantic(get_backend(backend), args=(graph, seeds), rounds=2, iterations=1)
+    benchmark.pedantic(BACKENDS[backend], args=(graph, seeds), rounds=2, iterations=1)

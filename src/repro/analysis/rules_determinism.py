@@ -23,12 +23,11 @@ reproductions like this one:
   the dict was built from a set, which the set-origin tracking catches
   at the set itself.
 * **REP103** — a wall-clock read (``time.time``, ``perf_counter``,
-  ``monotonic``, ``datetime.now``, ...) inside the kernel/engine hot
-  paths (``repro/shortest_paths/``, ``repro/runtime/``) outside the
-  sanctioned timing helpers (:data:`SANCTIONED_TIMERS`).  Timing
-  belongs in the benchmark harness and the provenance wrappers; a clock
-  read on the hot path is either dead weight or — worse — feeding an
-  adaptive decision that breaks replay determinism.
+  ``monotonic``, ``datetime.now``, ...) anywhere inside the
+  kernel/engine hot paths (``repro/shortest_paths/``,
+  ``repro/runtime/``).  Timing belongs in the callers and the benchmark
+  harness; a clock read on the hot path is either dead weight or —
+  worse — feeding an adaptive decision that breaks replay determinism.
 """
 
 from __future__ import annotations
@@ -37,8 +36,6 @@ import ast
 from typing import Iterator
 
 from repro.analysis.engine import Finding, ModuleContext, file_rule
-
-__all__ = ["SANCTIONED_TIMERS"]
 
 # ---------------------------------------------------------------------- #
 # REP101 — unseeded / global-state randomness
@@ -326,12 +323,6 @@ def check_set_iteration(ctx: ModuleContext) -> Iterator[Finding]:
 # ---------------------------------------------------------------------- #
 #: module-path fragments that mark the kernel/engine hot paths
 _HOT_PATH_FRAGMENTS = ("repro/shortest_paths/", "repro/runtime/")
-#: The sanctioned timing helpers: the two provenance wrappers whose whole
-#: job is to time a phase/sweep from *outside* the kernel.  Everything
-#: else on a hot path must justify its clock read with a suppression.
-SANCTIONED_TIMERS: frozenset[str] = frozenset(
-    {"run_phase_with", "compute_multisource"}
-)
 _CLOCK_ATTRS = {
     "time": {
         "time", "time_ns", "perf_counter", "perf_counter_ns", "monotonic",
@@ -340,15 +331,6 @@ _CLOCK_ATTRS = {
     },
     "datetime": {"now", "utcnow", "today"},
 }
-
-
-def _enclosing_function(ctx: ModuleContext, node: ast.AST) -> str | None:
-    cur = ctx.parent_of(node)
-    while cur is not None:
-        if isinstance(cur, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return cur.name
-        cur = ctx.parent_of(cur)
-    return None
 
 
 @file_rule(
@@ -379,15 +361,10 @@ def check_hot_path_clock(ctx: ModuleContext) -> Iterator[Finding]:
                 member = f"datetime.{func.attr}"
         elif isinstance(func, ast.Name) and func.id in clock_names:
             member = f"time.{clock_names[func.id]}"
-        if member is None:
-            continue
-        fn = _enclosing_function(ctx, node)
-        if fn in SANCTIONED_TIMERS:
-            continue
-        yield ctx.finding(
-            "REP103",
-            node,
-            f"{member}() inside hot-path module (enclosing function "
-            f"{fn or '<module>'!r} is not a sanctioned timing helper); "
-            f"move timing to the benchmark/provenance layer",
-        )
+        if member is not None:
+            yield ctx.finding(
+                "REP103",
+                node,
+                f"{member}() inside a hot-path module; time the call from "
+                f"its caller or the benchmark harness",
+            )

@@ -62,8 +62,8 @@ class SolverConfig:
         Cost-model constants for the simulation; must be a
         :class:`~repro.runtime.cost_model.MachineModel`.
     engine:
-        Runtime engine the message-driven phases execute on — any name
-        registered in :mod:`repro.runtime.engines`: ``"async-heap"``
+        Runtime engine the message-driven phases execute on — a key of
+        :data:`repro.runtime.engines.ENGINES`: ``"async-heap"``
         (asynchronous event engine, the paper-faithful default),
         ``"bsp"`` (per-message bulk-synchronous supersteps, the §IV
         ablation baseline) or ``"bsp-batched"`` (vectorised supersteps —
@@ -94,8 +94,8 @@ class SolverConfig:
     voronoi_backend:
         ``None`` (default) simulates the Voronoi Cell phase on the
         message-driven engine — the paper-faithful path that produces
-        the per-phase message counts behind Figs. 3-6.  Any registered
-        name from :mod:`repro.shortest_paths.backends` (``"dijkstra"``
+        the per-phase message counts behind Figs. 3-6.  A key of
+        :data:`repro.shortest_paths.backends.BACKENDS` (``"dijkstra"``
         or ``"delta-numpy"``) instead computes the identical
         ``(src, pred, dist)`` fixpoint with that sequential kernel — the
         fast path for workloads that need the tree, not the message

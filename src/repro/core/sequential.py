@@ -113,8 +113,8 @@ def sequential_steiner_tree(
     Parameters
     ----------
     voronoi_backend:
-        Voronoi-cell kernel — a name registered in
-        :mod:`repro.shortest_paths.backends` (``"dijkstra"`` or
+        Voronoi-cell kernel — a key of
+        :data:`repro.shortest_paths.backends.BACKENDS` (``"dijkstra"`` or
         ``"delta-numpy"``), matching the
         :class:`~repro.core.config.SolverConfig` field of the same
         name.  Every backend yields the identical diagram, hence the

@@ -13,8 +13,8 @@ Orchestrates the six phases over the simulated runtime:
 6. ``Steiner Tree Edge``     — async predecessor walks (Alg. 6, DES).
 
 The message-driven phases (1 and 6) execute on the runtime engine
-selected by ``SolverConfig.engine`` — any name registered in
-:mod:`repro.runtime.engines` (``async-heap``, ``bsp``,
+selected by ``SolverConfig.engine`` — a key of
+:data:`repro.runtime.engines.ENGINES` (``async-heap``, ``bsp``,
 ``bsp-batched``); every engine converges to the identical tree.
 
 The solver reports, per phase, the simulated parallel time and message
@@ -201,7 +201,7 @@ class DistributedSteinerSolver:
         # ---- Phase 1: Voronoi Cell (Alg. 4) --------------------------- #
         # Either simulate the asynchronous message-driven kernel (the
         # paper-faithful default, yields the Figs. 3-6 message trace),
-        # run a sequential backend from the registry, or adopt a
+        # run a sequential backend from the table, or adopt a
         # pre-converged diagram (injected by the serve batcher or found
         # in the diagram cache) — all converge to the same deterministic
         # (dist, owner) fixpoint, so phases 2-6 and the output tree are
@@ -237,14 +237,12 @@ class DistributedSteinerSolver:
                 from repro.shortest_paths.backends import compute_multisource
 
                 provenance["sweep"] = "backend"
-                ms = compute_multisource(
+                vd = compute_multisource(
                     self.graph, seeds_arr, backend=cfg.voronoi_backend
                 )
-                src, dist, pred = ms.src, ms.dist, ms.pred
+                src, dist, pred = vd.src, vd.dist, vd.pred
                 if self.cache is not None:
-                    self.cache.put_diagram(
-                        self._diagram_key(seeds_arr), ms.diagram
-                    )
+                    self.cache.put_diagram(self._diagram_key(seeds_arr), vd)
         phases.append(vc_stats)
 
         # ---- Phase 2: Local Min Dist. Edge (Alg. 5, local) ------------ #

@@ -26,6 +26,8 @@ from repro.errors import GraphError
 
 __all__ = ["CSRGraph"]
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 class CSRGraph:
     """An immutable undirected edge-weighted graph in CSR form.
@@ -337,6 +339,22 @@ class CSRGraph:
             top = int(self.weights.max()) if self.weights.size else 0
             self._distance_bound = self.total_weight() + top
         return self._distance_bound
+
+    def check_distance_range(self) -> None:
+        """Refuse (:class:`~repro.errors.GraphError`) a graph whose
+        distances could overflow int64.
+
+        :meth:`distance_bound` must stay below the int64 maximum, the
+        unreached marker.  Every seed-set validation and every
+        shortest-path kernel starts here, at O(1) once the bound is
+        memoised.  The bound is conservative: a graph at the edge, such
+        as a three-edge path of weight ``2**61`` each, may be refused
+        although its distances fit.
+        """
+        if self.distance_bound() >= _INT64_MAX:
+            raise GraphError(
+                f"weight sum {self.total_weight()} could overflow int64 distances"
+            )
 
     def content_hash(self) -> str:
         """SHA-256 over the CSR arrays, memoised on the instance.

@@ -16,8 +16,8 @@ Subcommands
     the phase breakdown.  ``--engine`` picks the runtime engine the
     message-driven phases execute on; ``--backend simulate`` (default)
     runs the
-    message-driven Voronoi phase; any registered shortest-path backend
-    name computes the identical tree via that sequential kernel.
+    message-driven Voronoi phase; any shortest-path backend name
+    computes the identical tree via that sequential kernel.
 ``serve [--tcp HOST:PORT] [--preload LVJ,MCO] [--backend delta-numpy]
 [--ranks 16] [--engine ...] [--batch-window-ms 5] [--max-batch 8]
 [--max-queue-depth N] [--cache-size 128] [--disk-cache DIR]
@@ -28,23 +28,19 @@ Subcommands
     cache.  Default transport is line-delimited JSON on stdin/stdout;
     ``--tcp`` listens on a socket instead (``:0`` picks a free port,
     printed on startup).
-``backends [--bench] [--dataset LVJ] [--seeds 30]``
-    List the registered multi-source shortest-path backends, one line
-    each; with ``--bench``, time each one on the chosen instance and
-    verify they agree bit-for-bit.
+``backends``
+    List the multi-source shortest-path backends, one line each.
 ``check [PATHS...] [--format text|json] [--show-suppressed] [--list-rules]``
     Run the repo-invariant static-analysis pass (``docs/analysis.md``):
     the determinism lint, rules REP101–REP103.  Exits 0 iff every
     finding is fixed or carries a justified ``# repro: ignore[REPxxx]``
     suppression — the pre-PR gate CI runs as the blocking ``check`` job.
-``engines [--bench] [--dataset LVJ] [--seeds 30] [--ranks 16]``
-    List the registered runtime engines, one line each; with
-    ``--bench``, solve the chosen instance on each engine, verify the
-    trees are identical and report per-engine wall/simulated time and
-    message counts.  The bench is deterministic apart from the
-    wall-clock column: seeded seed selection and registry order fixed
-    (default engine first, rest alphabetical), so the counters in two
-    CI logs are comparable line-for-line.
+``engines``
+    List the runtime engines, one line each.
+
+Timing lives outside the listings: ``run ablation-kernel`` and ``run
+ablation-async-vs-bsp`` compare the backends and the engines, and
+``benchmarks/bench_backends.py`` / ``bench_engines.py`` gate them.
 """
 
 from __future__ import annotations
@@ -191,84 +187,24 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_backends(args) -> int:
-    from repro.shortest_paths.backends import backend_help, compute_multisource
-
-    help_by_name = backend_help()
-    if not args.bench:
-        for name, help_text in help_by_name.items():
-            print(f"{name:16s} {help_text}")
-        return 0
-
-    from repro.harness.datasets import load_dataset
-    from repro.harness.reporting import fmt_time
-    from repro.seeds.selection import select_seeds
-
-    graph = load_dataset(args.dataset)
-    seeds = select_seeds(graph, args.seeds, "bfs-level", seed=args.seed)
-    # one run per backend: the same results are both timed and checked
-    # for bit-equality, so every speedup is consistent (reference = 1.0x)
-    results = {
-        name: compute_multisource(graph, seeds, backend=name)
-        for name in help_by_name
-    }
-    ref = next(iter(results.values()))
-    for res in results.values():
-        if not ref.agrees_with(res):
-            print(f"error: backend {res.backend!r} disagrees with {ref.backend!r}")
-            return 1
-    print(
-        f"{args.dataset}: |V|={graph.n_vertices} 2|E|={graph.n_arcs} "
-        f"|S|={len(seeds)} — all backends agree bit-for-bit"
-    )
-    for name, res in results.items():
-        speedup = ref.elapsed_s / res.elapsed_s if res.elapsed_s else float("inf")
-        print(
-            f"{name:16s} {fmt_time(res.elapsed_s):>8}  "
-            f"{speedup:5.1f}x vs {ref.backend}"
-        )
+def _print_table(table: dict) -> int:
+    """One line per entry: its name and the first line of its docstring."""
+    for name, entry in table.items():
+        summary = (entry.__doc__ or "").strip().splitlines()
+        print(f"{name:16s} {summary[0] if summary else ''}".rstrip())
     return 0
 
 
-def _cmd_engines(args) -> int:
-    from repro.runtime.engines import engine_help
+def _cmd_backends(_args) -> int:
+    from repro.shortest_paths.backends import BACKENDS
 
-    if not args.bench:
-        for name, help_text in engine_help().items():
-            print(f"{name:16s} {help_text}")
-        return 0
+    return _print_table(BACKENDS)
 
-    from repro.harness.datasets import load_dataset
-    from repro.harness.experiments._shared import solve_on_engines
-    from repro.harness.reporting import fmt_si, fmt_time
-    from repro.seeds.selection import select_seeds
 
-    graph = load_dataset(args.dataset)
-    seeds = select_seeds(graph, args.seeds, "bfs-level", seed=args.seed)
-    # one solve per engine: the shared helper both times the runs and
-    # checks tree identity, so every reported speedup is verified-correct
-    try:
-        runs = solve_on_engines(graph, seeds, n_ranks=args.ranks)
-    except AssertionError as exc:
-        print(f"error: {exc}")
-        return 1
-    results = {name: res for name, (res, _) in runs.items()}
-    walls = {name: wall for name, (_, wall) in runs.items()}
-    ref_name = next(iter(results))
-    print(
-        f"{args.dataset}: |V|={graph.n_vertices} 2|E|={graph.n_arcs} "
-        f"|S|={len(seeds)} ranks={args.ranks} — "
-        f"all engines produce the identical tree"
-    )
-    for name, res in results.items():
-        speedup = walls[ref_name] / walls[name] if walls[name] else float("inf")
-        print(
-            f"{name:16s} wall {fmt_time(walls[name]):>8}  "
-            f"sim {fmt_time(res.sim_time()):>8}  "
-            f"msgs={fmt_si(res.message_count()):>8}  "
-            f"{speedup:5.1f}x vs {ref_name}"
-        )
-    return 0
+def _cmd_engines(_args) -> int:
+    from repro.runtime.engines import ENGINES
+
+    return _print_table(ENGINES)
 
 
 def _cmd_check(args) -> int:
@@ -339,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         default="simulate",
         help="Voronoi phase: 'simulate' (message-driven engine, default) "
-        "or a registered shortest-path backend name "
+        "or a shortest-path backend name "
         "(see `repro-steiner backends`)",
     )
     p_solve.set_defaults(func=_cmd_solve)
@@ -401,16 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.set_defaults(func=_cmd_serve)
 
-    p_back = sub.add_parser(
-        "backends", help="list/bench the shortest-path backends"
-    )
-    p_back.add_argument(
-        "--bench", action="store_true", help="time each backend on one instance"
-    )
-    p_back.add_argument("--dataset", default="LVJ")
-    p_back.add_argument("--seeds", type=int, default=30)
-    p_back.add_argument("--seed", type=int, default=1, help="RNG seed")
-    p_back.set_defaults(func=_cmd_backends)
+    sub.add_parser(
+        "backends", help="list the shortest-path backends"
+    ).set_defaults(func=_cmd_backends)
 
     p_check = sub.add_parser(
         "check", help="run the repo-invariant static-analysis pass"
@@ -436,17 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_check.set_defaults(func=_cmd_check)
 
-    p_eng = sub.add_parser(
-        "engines", help="list/bench the runtime engines"
-    )
-    p_eng.add_argument(
-        "--bench", action="store_true", help="time each engine on one instance"
-    )
-    p_eng.add_argument("--dataset", default="LVJ")
-    p_eng.add_argument("--seeds", type=int, default=30)
-    p_eng.add_argument("--ranks", type=int, default=16)
-    p_eng.add_argument("--seed", type=int, default=1, help="RNG seed")
-    p_eng.set_defaults(func=_cmd_engines)
+    sub.add_parser(
+        "engines", help="list the runtime engines"
+    ).set_defaults(func=_cmd_engines)
     return parser
 
 

@@ -112,21 +112,20 @@ def solve_on_engines(
 ) -> dict[str, tuple[SteinerTreeResult, float]]:
     """Solve one instance on every runtime engine, wall-timing each run.
 
-    The registry's parity contract is enforced before anything is
+    The engines' parity contract is enforced before anything is
     returned: every engine must produce the bit-identical tree (raises
     :class:`AssertionError` otherwise), so the timings are always
     verified-correct runs.  Returns ``{engine: (result, wall_seconds)}``
-    in registry order (default engine first, rest alphabetical — a
-    deterministic iteration order, so two bench logs line up); shared by
-    the async-vs-BSP ablation and the ``repro-steiner engines --bench``
-    report.  Extra keyword arguments (``discipline=``, ...) reach every
-    run's :class:`~repro.core.config.SolverConfig`.
+    in :data:`~repro.runtime.engines.ENGINES` order (a fixed iteration
+    order, so two reports line up); used by the async-vs-BSP ablation.
+    Extra keyword arguments (``discipline=``, ...) reach every run's
+    :class:`~repro.core.config.SolverConfig`.
     """
     import numpy as np
 
-    from repro.runtime.engines import available_engines
+    from repro.runtime.engines import ENGINES
 
-    names = list(engines) if engines is not None else available_engines()
+    names = list(engines) if engines is not None else list(ENGINES)
     results: dict[str, tuple[SteinerTreeResult, float]] = {}
     reference: SteinerTreeResult | None = None
     for engine in names:

@@ -3,8 +3,8 @@
 Paper §IV motivates HavoqGT's asynchronous processing by prior findings
 that async beats BSP for distributed shortest paths ("the former
 enabling faster convergence").  This ablation runs the identical
-Voronoi-cell program on every registered runtime engine
-(:mod:`repro.runtime.engines`) and compares simulated time, message
+Voronoi-cell program on every runtime engine
+(:data:`repro.runtime.engines.ENGINES`) and compares simulated time, message
 counts and wall-clock execution time — quantifying both the design
 choice the paper takes from the literature (async vs BSP simulated
 time) and the interpreter-overhead win of the vectorised batched

@@ -15,7 +15,7 @@ cores are available in this environment, so this package provides a
   bulk-synchronous variant for the BSP ablation);
 * :mod:`~repro.runtime.engine_batched` — the vectorised BSP engine
   (array-at-a-time supersteps over the partitioned CSR);
-* :mod:`~repro.runtime.engines` — the pluggable engine registry
+* :mod:`~repro.runtime.engines` — the engine table
   (``async-heap`` / ``bsp`` / ``bsp-batched``, selected via
   ``SolverConfig(engine=...)``);
 * :mod:`~repro.runtime.collectives` — simulated ``MPI_Allreduce``;
@@ -39,17 +39,7 @@ from repro.runtime.engine import (
     VertexProgram,
 )
 from repro.runtime.engine_batched import BSPBatchedEngine
-from repro.runtime.engines import (
-    DEFAULT_ENGINE,
-    EngineResult,
-    available_engines,
-    engine_help,
-    get_engine,
-    make_engine,
-    register_engine,
-    run_phase_with,
-    verify_engines_agree,
-)
+from repro.runtime.engines import ENGINES, get_engine, make_engine
 from repro.runtime.collectives import allreduce_min_time, allreduce_elementwise_min
 from repro.runtime.memory import MemoryReport, estimate_memory
 
@@ -57,9 +47,8 @@ __all__ = [
     "AsyncEngine",
     "BSPBatchedEngine",
     "BSPEngine",
-    "DEFAULT_ENGINE",
+    "ENGINES",
     "EngineBase",
-    "EngineResult",
     "MachineModel",
     "MemoryReport",
     "PartitionedGraph",
@@ -68,14 +57,9 @@ __all__ = [
     "VertexProgram",
     "allreduce_elementwise_min",
     "allreduce_min_time",
-    "available_engines",
     "block_partition",
-    "engine_help",
     "estimate_memory",
     "get_engine",
     "hash_partition",
     "make_engine",
-    "register_engine",
-    "run_phase_with",
-    "verify_engines_agree",
 ]

@@ -20,11 +20,12 @@ sequence number, so identical inputs give identical timelines, message
 counts and output state — the property the reproducibility tests pin
 down.
 
-Engines implementing this contract are registered in
-:mod:`repro.runtime.engines` (``async-heap``, ``bsp``, ``bsp-batched``)
-and selected via ``SolverConfig(engine=...)``; the shared pieces of the
-contract — destination routing, visit dispatch, in-superstep ordering —
-live in this module so every engine counts and routes identically.
+Engines implementing this contract are named in
+:data:`repro.runtime.engines.ENGINES` (``async-heap``, ``bsp``,
+``bsp-batched``) and selected via ``SolverConfig(engine=...)``; the
+shared pieces of the contract — destination routing, visit dispatch,
+in-superstep ordering — live in this module so every engine counts and
+routes identically.
 
 Simulated time vs wall time: the event loop itself runs serially in
 Python; all reported times are derived from the event timeline (per-rank
@@ -34,6 +35,7 @@ clocks), not from the host's clock.
 from __future__ import annotations
 
 import heapq
+from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, List, Optional, Protocol, Tuple
 
@@ -159,11 +161,11 @@ class PhaseStats:
         return float(self.busy_time.mean() / self.sim_time)
 
 
-class EngineBase:
-    """State and helpers shared by every registered runtime engine.
+class EngineBase(ABC):
+    """State and helpers shared by every runtime engine in
+    :data:`~repro.runtime.engines.ENGINES`.
 
-    Subclasses implement ``run_phase(name, program, initial_messages,
-    *, max_events=None, ...) -> PhaseStats``; this base provides the
+    Subclasses implement :meth:`run_phase`; this base provides the
     configuration, the phase record, the global simulated clock and the
     routing helpers, so all engines count messages identically.
     """
@@ -173,12 +175,33 @@ class EngineBase:
         partition: PartitionedGraph,
         machine: MachineModel | None = None,
         discipline: QueueDiscipline | str = QueueDiscipline.PRIORITY,
+        *,
+        aggregate_remote: bool = False,
     ) -> None:
         self.partition = partition
         self.machine = machine or MachineModel()
         self.discipline = QueueDiscipline(discipline)
+        #: HavoqGT-style message aggregation, read by the asynchronous
+        #: engine only (BSP already models bulk per-superstep delivery):
+        #: messages a single visit emits toward the same remote rank
+        #: share one wire transfer — the first pays the full network
+        #: latency, the rest only the per-message bandwidth term.
+        #: Message *counts* are unchanged (the paper's Fig. 6 counts
+        #: visitors, not wire packets).
+        self.aggregate_remote = aggregate_remote
         self.clock = 0.0  # global simulated clock across phases
         self.phases: List[PhaseStats] = []
+
+    @abstractmethod
+    def run_phase(
+        self,
+        name: str,
+        program: VertexProgram,
+        initial_messages: Iterable[Tuple[int, Tuple]],
+        *,
+        max_events: Optional[int] = None,
+    ) -> PhaseStats:
+        """Run ``program`` to quiescence; returns and records the stats."""
 
     # ------------------------------------------------------------------ #
     def route_initial(
@@ -197,22 +220,7 @@ class EngineBase:
 class AsyncEngine(EngineBase):
     """Asynchronous message-driven executor over a partitioned graph."""
 
-    def __init__(
-        self,
-        partition: PartitionedGraph,
-        machine: MachineModel | None = None,
-        discipline: QueueDiscipline | str = QueueDiscipline.PRIORITY,
-        *,
-        aggregate_remote: bool = False,
-    ) -> None:
-        super().__init__(partition, machine, discipline)
-        #: HavoqGT-style message aggregation: messages a single visit
-        #: emits toward the same remote rank share one wire transfer —
-        #: the first pays the full network latency, the rest only the
-        #: per-message bandwidth term.  Message *counts* are unchanged
-        #: (the paper's Fig. 6 counts visitors, not wire packets).
-        self.aggregate_remote = aggregate_remote
-        self._max_events_guard = 500_000_000  # hard runaway stop
+    _max_events_guard = 500_000_000  # hard runaway stop
 
     # ------------------------------------------------------------------ #
     def run_phase(
@@ -359,14 +367,7 @@ class BSPEngine(EngineBase):
     the barrier.
     """
 
-    def __init__(
-        self,
-        partition: PartitionedGraph,
-        machine: MachineModel | None = None,
-        discipline: QueueDiscipline | str = QueueDiscipline.PRIORITY,
-    ) -> None:
-        super().__init__(partition, machine, discipline)
-        self.n_supersteps = 0
+    n_supersteps = 0  # supersteps of the last phase run
 
     def run_phase(
         self,

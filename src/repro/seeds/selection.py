@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.errors import GraphError, SeedError
+from repro.errors import SeedError
 from repro.graph.connectivity import bfs_levels, largest_component_vertices
 from repro.graph.csr import CSRGraph
 
@@ -37,9 +37,6 @@ __all__ = [
     "eccentric_seeds",
     "proximate_seeds",
 ]
-
-
-_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class SeedStrategy(str, enum.Enum):
@@ -182,13 +179,9 @@ def validate_seed_set(graph: CSRGraph, seeds: Sequence[int]) -> np.ndarray:
 
     Every solve and Voronoi sweep starts here, so this also refuses
     (:class:`~repro.errors.GraphError`) a graph whose distances could
-    overflow int64: :meth:`CSRGraph.distance_bound` must stay below the
-    int64 maximum, the unreached marker.  The bound is conservative: a
-    graph at the edge, such as a three-edge path of weight ``2**61``
-    each, may be refused although its distances fit.
+    overflow int64 (:meth:`CSRGraph.check_distance_range`).
     """
-    if graph.distance_bound() >= _INT64_MAX:
-        raise GraphError(f"weight sum {graph.total_weight()} could overflow int64 distances")
+    graph.check_distance_range()
     arr = np.asarray(sorted(int(s) for s in seeds), dtype=np.int64)
     if arr.size == 0:
         raise SeedError("seed set must be non-empty")

@@ -18,7 +18,7 @@ on its own:
 See ``docs/serve.md`` for the protocol and the cache-key contract.
 """
 
-from repro.serve.batch import FusedSweep, fused_multisource, stack_graphs
+from repro.serve.batch import fused_multisource, stack_graphs
 from repro.serve.cache import CacheStats, SolveCache, solution_key
 from repro.serve.protocol import MAX_LINE_BYTES, OversizedLineError, ProtocolHandler
 from repro.serve.server import make_tcp_server, serve_stdio, serve_tcp
@@ -34,7 +34,6 @@ from repro.serve.service import (
 __all__ = [
     "MAX_LINE_BYTES",
     "CacheStats",
-    "FusedSweep",
     "OversizedLineError",
     "ProtocolHandler",
     "QueueFull",

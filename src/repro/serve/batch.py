@@ -2,7 +2,7 @@
 
 The Voronoi-cell sweep — the paper's dominant cost — is already
 multi-source, and its converged ``(src, pred, dist)`` fixpoint is a
-pure function of ``(graph, seeds)`` (the registry's deterministic
+pure function of ``(graph, seeds)`` (every backend's deterministic
 ``(dist, owner)`` tie-break plus canonical predecessors).  That makes
 independent requests fusable: place each request in its own disjoint
 copy of the graph, run a *single* backend call over the stacked CSR,
@@ -25,7 +25,6 @@ components) executed as one array program.
 
 from __future__ import annotations
 
-import time
 from typing import Sequence
 
 import numpy as np
@@ -34,7 +33,7 @@ from repro.graph.csr import CSRGraph
 from repro.shortest_paths.backends import compute_multisource
 from repro.shortest_paths.voronoi import NO_VERTEX, VoronoiDiagram
 
-__all__ = ["stack_graphs", "fused_multisource", "FusedSweep"]
+__all__ = ["stack_graphs", "fused_multisource"]
 
 
 def stack_graphs(graph: CSRGraph, n_copies: int) -> CSRGraph:
@@ -62,34 +61,17 @@ def stack_graphs(graph: CSRGraph, n_copies: int) -> CSRGraph:
     return stacked
 
 
-class FusedSweep:
-    """Outcome of one fused sweep: per-request diagrams + provenance."""
-
-    __slots__ = ("diagrams", "backend", "elapsed_s", "batch_size")
-
-    def __init__(
-        self,
-        diagrams: list[VoronoiDiagram],
-        backend: str,
-        elapsed_s: float,
-    ) -> None:
-        self.diagrams = diagrams
-        self.backend = backend
-        self.elapsed_s = elapsed_s
-        self.batch_size = len(diagrams)
-
-
 def fused_multisource(
     graph: CSRGraph,
     seed_sets: Sequence[Sequence[int]],
     *,
     backend: str = "delta-numpy",
-) -> FusedSweep:
+) -> list[VoronoiDiagram]:
     """Run one multi-source sweep answering every seed set at once.
 
-    Returns per-request :class:`VoronoiDiagram` slices, each
-    bit-identical to ``compute_multisource(graph, seeds,
-    backend=...)``'s diagram for that request alone.
+    Returns one :class:`VoronoiDiagram` slice per seed set, in order,
+    each bit-identical to ``compute_multisource(graph, seeds,
+    backend=...)`` for that request alone.
     """
     if not seed_sets:
         raise ValueError("seed_sets must be non-empty")
@@ -97,8 +79,7 @@ def fused_multisource(
     n_req = len(seed_sets)
 
     if n_req == 1:
-        ms = compute_multisource(graph, seed_sets[0], backend=backend)
-        return FusedSweep([ms.diagram], backend, ms.elapsed_s)
+        return [compute_multisource(graph, seed_sets[0], backend=backend)]
 
     stacked = stack_graphs(graph, n_req)
     all_seeds = np.concatenate(
@@ -107,16 +88,14 @@ def fused_multisource(
             for r, seeds in enumerate(seed_sets)
         ]
     )
-    t0 = time.perf_counter()
-    ms = compute_multisource(stacked, all_seeds, backend=backend)
-    elapsed = time.perf_counter() - t0
+    fused = compute_multisource(stacked, all_seeds, backend=backend)
 
     diagrams: list[VoronoiDiagram] = []
     for r, seeds in enumerate(seed_sets):
         lo, hi = r * n, (r + 1) * n
-        src = ms.src[lo:hi].copy()
-        pred = ms.pred[lo:hi].copy()
-        dist = ms.dist[lo:hi].copy()
+        src = fused.src[lo:hi].copy()
+        pred = fused.pred[lo:hi].copy()
+        dist = fused.dist[lo:hi].copy()
         # map stacked vertex ids back into the original graph's id space
         src[src != NO_VERTEX] -= lo
         pred[pred != NO_VERTEX] -= lo
@@ -128,4 +107,4 @@ def fused_multisource(
                 dist=dist,
             )
         )
-    return FusedSweep(diagrams, backend, elapsed)
+    return diagrams

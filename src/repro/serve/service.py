@@ -573,7 +573,7 @@ class SolverService:
         )
         if fused:
             try:
-                sweep = fused_multisource(
+                diagrams = fused_multisource(
                     session.graph,
                     [sorted(k) for k in to_compute],
                     backend=config.voronoi_backend,
@@ -586,7 +586,7 @@ class SolverService:
                 self.counters.fused_sweeps += 1
                 # N seed sets answered by one sweep: N-1 avoided sweeps
                 self.counters.coalesced += len(to_compute) - 1
-                fused_diagrams = dict(zip(to_compute, sweep.diagrams))
+                fused_diagrams = dict(zip(to_compute, diagrams))
 
         batch_size = len(group)
         for seeds_key, pendings in unique.items():

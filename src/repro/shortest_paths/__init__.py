@@ -7,14 +7,9 @@ classic single-source kernels used by baselines, tests and ablations.
 """
 
 from repro.shortest_paths.backends import (
-    DEFAULT_BACKEND,
-    MultiSourceResult,
-    available_backends,
-    backend_help,
+    BACKENDS,
     compute_multisource,
     get_backend,
-    register_backend,
-    verify_backends_agree,
 )
 from repro.shortest_paths.dijkstra import dijkstra, dijkstra_to_targets
 from repro.shortest_paths.bellman_ford import bellman_ford
@@ -39,14 +34,11 @@ from repro.shortest_paths.near_shortest import (
 from repro.shortest_paths.vectorized import compute_voronoi_cells_delta_numpy
 
 __all__ = [
-    "DEFAULT_BACKEND",
+    "BACKENDS",
     "INF",
-    "MultiSourceResult",
     "NO_VERTEX",
     "NearShortestResult",
     "VoronoiDiagram",
-    "available_backends",
-    "backend_help",
     "bellman_ford",
     "compute_multisource",
     "compute_voronoi_cells",
@@ -59,8 +51,6 @@ __all__ = [
     "get_backend",
     "near_shortest_path_edges",
     "path_dag",
-    "register_backend",
     "seed_pairs_apsp",
     "shortest_path_edges",
-    "verify_backends_agree",
 ]

@@ -30,6 +30,7 @@ def bellman_ford(graph: CSRGraph, source: int) -> Tuple[np.ndarray, np.ndarray]:
     :func:`repro.shortest_paths.dijkstra.dijkstra`; on graphs with positive
     weights the two must agree exactly (tested).
     """
+    graph.check_distance_range()
     n = graph.n_vertices
     if not (0 <= source < n):
         raise GraphError(f"source {source} out of range")

@@ -42,6 +42,7 @@ def delta_stepping(
     ``(dist, pred)`` identical in meaning (and, on positive weights, in
     value) to :func:`repro.shortest_paths.dijkstra.dijkstra`.
     """
+    graph.check_distance_range()
     n = graph.n_vertices
     if not (0 <= source < n):
         raise GraphError(f"source {source} out of range")

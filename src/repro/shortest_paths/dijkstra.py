@@ -34,6 +34,7 @@ def dijkstra(graph: CSRGraph, source: int) -> Tuple[np.ndarray, np.ndarray]:
         ``int64[n]``, predecessor on a shortest path (``-1`` for the
         source and unreachable vertices).
     """
+    graph.check_distance_range()
     n = graph.n_vertices
     if not (0 <= source < n):
         raise GraphError(f"source {source} out of range")
@@ -68,6 +69,7 @@ def dijkstra_to_targets(
     keeps the asymptotics identical but trims constants on graphs whose
     seeds cluster.
     """
+    graph.check_distance_range()
     n = graph.n_vertices
     target_set = {int(t) for t in targets}
     # sorted so the failing target (and thus the error) is deterministic

@@ -17,12 +17,12 @@ producing the *identical* fixpoint ``(src, dist)`` as the reference
 is a pure performance ablation — exercised by the kernel ablation bench
 and cross-checked by tests.
 
-Neither kernel is in the backend registry
-(:mod:`repro.shortest_paths.backends`): the ablation calls them
-directly.  The production-speed variant of the Δ-stepping schedule —
-NumPy bucket relaxations instead of this per-edge loop — lives in
-:mod:`repro.shortest_paths.vectorized` and is registered as
-``"delta-numpy"``.
+Neither kernel is in the backend table
+(:data:`repro.shortest_paths.backends.BACKENDS`): the ablation calls
+them directly.  The production-speed variant of the Δ-stepping
+schedule — NumPy bucket relaxations instead of this per-edge loop —
+lives in :mod:`repro.shortest_paths.vectorized` and is the table's
+``"delta-numpy"`` entry.
 """
 
 from __future__ import annotations

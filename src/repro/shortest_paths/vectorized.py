@@ -170,7 +170,7 @@ def compute_voronoi_cells_delta_numpy(
 
     Drop-in replacement for
     :func:`repro.shortest_paths.voronoi.compute_voronoi_cells` with the
-    canonical predecessor assignment (the registry contract); same
+    canonical predecessor assignment (the backend contract); same
     ``(dist, src)`` fixpoint, NumPy bucket relaxations instead of a
     per-edge Python loop.
 

@@ -102,9 +102,9 @@ def compute_voronoi_cells(graph: CSRGraph, seeds: Sequence[int]) -> VoronoiDiagr
     Single multi-source Dijkstra: the heap is keyed ``(dist, src, vertex)``
     so equidistant claims resolve toward the smaller seed id, then the
     smaller vertex id — a total order, hence a deterministic diagram.
-    ``pred`` holds the sweep-order predecessors; the registry's
-    ``dijkstra`` backend (:mod:`repro.shortest_paths.backends`) wraps
-    this sweep and canonicalises them.
+    ``pred`` holds the sweep-order predecessors; the ``dijkstra``
+    backend (:mod:`repro.shortest_paths.backends`) wraps this sweep and
+    canonicalises them.
 
     Complexity ``O((|V| + |E|) log |V|)`` regardless of ``|S|`` — this
     independence from the seed count is exactly why the paper prefers

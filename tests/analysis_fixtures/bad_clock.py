@@ -6,10 +6,10 @@ import time
 from time import perf_counter
 
 
-def run_phase_with(clock, fn):
-    t0 = time.perf_counter()  # ok: sanctioned timing helper
+def timed_call(clock, fn):
+    t0 = time.perf_counter()  # REP103 line 10: no function is exempt
     fn()
-    return time.perf_counter() - t0  # ok: sanctioned timing helper
+    return time.perf_counter() - t0  # REP103 line 12
 
 
 def hot_loop(values):

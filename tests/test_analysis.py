@@ -68,7 +68,12 @@ class TestFixtures:
         # REP103 is path-scoped: the same source is flagged under a
         # kernel/engine path and silent elsewhere.
         hot = _check_fixture("bad_clock.py", "src/repro/runtime/_fixture.py")
-        assert _pairs(hot) == [("REP103", 16), ("REP103", 17)]
+        assert _pairs(hot) == [
+            ("REP103", 10),
+            ("REP103", 12),
+            ("REP103", 16),
+            ("REP103", 17),
+        ]
 
         cold = _check_fixture("bad_clock.py")  # real (tests/...) path
         assert [f for f in cold if f.rule == "REP103"] == []

@@ -1,12 +1,12 @@
-"""The multi-source backend registry and cross-backend equivalence.
+"""The multi-source backend table and cross-backend equivalence.
 
-The registry contract (``repro.shortest_paths.backends``): every
+The backends' contract (``repro.shortest_paths.backends``): every
 backend returns the *identical* ``(dist, src, canonical pred)`` triple
 — the lexicographic ``(dist, owner)`` fixpoint with the canonical
-predecessor assignment.  Property tests drive all backends, and the
-two unregistered §III ablation kernels, over random weighted graphs,
-including tie-heavy unit-weight graphs where the smaller-seed-id rule
-does all the work, and assert bit-equality.
+predecessor assignment.  Property tests drive every entry of
+``BACKENDS``, and the two §III ablation kernels outside the table, over
+random weighted graphs, including tie-heavy unit-weight graphs where the
+smaller-seed-id rule does all the work, and assert bit-equality.
 """
 
 from __future__ import annotations
@@ -21,15 +21,7 @@ from repro.core.sequential import sequential_steiner_tree
 from repro.core.solver import distributed_steiner_tree
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import grid_graph
-from repro.shortest_paths.backends import (
-    DEFAULT_BACKEND,
-    available_backends,
-    backend_help,
-    compute_multisource,
-    get_backend,
-    register_backend,
-    verify_backends_agree,
-)
+from repro.shortest_paths.backends import BACKENDS, compute_multisource, get_backend
 from repro.shortest_paths.multisource import (
     compute_voronoi_cells_delta_stepping,
     compute_voronoi_cells_spfa,
@@ -39,6 +31,7 @@ from repro.shortest_paths.vectorized import (
     default_delta,
 )
 from repro.shortest_paths.voronoi import (
+    VoronoiDiagram,
     canonicalize_predecessors,
     compute_voronoi_cells,
 )
@@ -99,7 +92,7 @@ def graph_and_seeds(draw, max_vertices=24, max_weight=8):
     return graph, sorted(seeds)
 
 
-#: the §III ablation kernels: outside the registry, held to its contract
+#: the §III ablation kernels: outside the table, held to its contract
 ABLATION_KERNELS = {
     "spfa": compute_voronoi_cells_spfa,
     "delta-stepping": compute_voronoi_cells_delta_stepping,
@@ -107,15 +100,17 @@ ABLATION_KERNELS = {
 
 
 def assert_all_backends_agree(graph, seeds):
+    """Every backend and ablation kernel returns the reference diagram
+    bit-for-bit; returns the reference."""
     ref = compute_voronoi_cells(graph, seeds)
     ref_pred = canonicalize_predecessors(graph, ref.src, ref.dist)
-    kernels = {name: get_backend(name) for name in available_backends()}
-    for name, kernel in {**kernels, **ABLATION_KERNELS}.items():
+    for name, kernel in {**BACKENDS, **ABLATION_KERNELS}.items():
         vd = kernel(graph, seeds)
         assert np.array_equal(vd.dist, ref.dist), name
         assert np.array_equal(vd.src, ref.src), name
         assert np.array_equal(vd.pred, ref_pred), name
         validate_voronoi_diagram(graph, vd)
+    return ref
 
 
 class TestBackendEquivalence:
@@ -140,11 +135,6 @@ class TestBackendEquivalence:
         g = grid_graph(8, 8)
         assert_all_backends_agree(g, [0, 7, 27, 36, 56, 63])
 
-    def test_verify_backends_agree_helper(self, random_graph):
-        seeds = component_seeds(random_graph, 4, seed=3)
-        res = verify_backends_agree(random_graph, seeds)
-        assert res.backend == DEFAULT_BACKEND
-
     def test_astronomical_weights_stay_exact(self):
         # path sums beyond float64's exact-integer range (2**53): every
         # backend must stay in integer-exact arithmetic rather than
@@ -154,7 +144,7 @@ class TestBackendEquivalence:
         graph = CSRGraph.from_edges(
             5, np.asarray(edges, dtype=np.int64), [w, w + 1, w, w + 3, w, w + 2]
         )
-        res = verify_backends_agree(graph, [0, 4])
+        res = assert_all_backends_agree(graph, [0, 4])
         assert res.dist.max() < np.iinfo(np.int64).max  # all reached
 
     def test_packed_key_overflow_fallback(self):
@@ -163,7 +153,7 @@ class TestBackendEquivalence:
         # the middle vertex's equal-distance tie included
         graph = astronomical_chain()
         n = graph.n_vertices
-        res = verify_backends_agree(graph, [0, n - 1], ["dijkstra", "delta-numpy"])
+        res = assert_all_backends_agree(graph, [0, n - 1])
         assert res.dist.max() > packed_key_guard(n)
         assert res.src[n // 2] == 0
 
@@ -196,45 +186,30 @@ class TestVectorizedDeltaStepping:
 
 
 class TestRegistry:
+    """The backend table: its names, order and lookup."""
+
     def test_reference_listed_first(self):
         # exactly the reference oracle and the fastest measured path
-        assert available_backends() == [DEFAULT_BACKEND, "delta-numpy"]
+        assert list(BACKENDS) == ["dijkstra", "delta-numpy"]
 
     def test_unknown_backend_raises(self):
-        with pytest.raises(ValueError, match="backend"):
+        with pytest.raises(
+            ValueError,
+            match=r"^unknown shortest-path backend 'cuda'; "
+            r"available: \['dijkstra', 'delta-numpy'\]$",
+        ):
             get_backend("cuda")
 
-    def test_backend_help_covers_all(self):
-        help_by_name = backend_help()
-        assert set(help_by_name) == set(available_backends())
-        assert all(help_by_name.values())
-
-    def test_register_and_shadow(self, random_graph):
-        calls = []
-
-        @register_backend("_test-probe", "test-only probe")
-        def probe(graph, seeds):
-            calls.append(len(seeds))
-            return get_backend(DEFAULT_BACKEND)(graph, seeds)
-
-        try:
-            res = compute_multisource(random_graph, [0, 1], backend="_test-probe")
-            assert calls == [2]
-            assert res.backend == "_test-probe"
-            assert res.elapsed_s >= 0
-        finally:
-            from repro.shortest_paths import backends as mod
-
-            mod._REGISTRY.pop("_test-probe")
-            mod._HELP.pop("_test-probe")
-
     def test_multisource_result_accessors(self, random_graph):
+        # compute_multisource returns the named backend's diagram itself,
+        # the reference backend by default
         seeds = component_seeds(random_graph, 3, seed=5)
         res = compute_multisource(random_graph, seeds)
-        assert np.array_equal(res.seeds, res.diagram.seeds)
-        assert res.agrees_with(
-            compute_multisource(random_graph, seeds, backend="delta-numpy")
-        )
+        assert isinstance(res, VoronoiDiagram)
+        assert np.array_equal(res.seeds, sorted(seeds))
+        fast = compute_multisource(random_graph, seeds, backend="delta-numpy")
+        for field in ("dist", "src", "pred"):
+            assert np.array_equal(getattr(res, field), getattr(fast, field)), field
 
 
 class TestSolverIntegration:
@@ -275,14 +250,8 @@ class TestCLI:
 
         assert main(["backends"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        # one line per backend, in registry order
-        assert [line.split()[0] for line in lines] == available_backends()
-
-    def test_backends_bench(self, capsys):
-        from repro.harness.cli import main
-
-        assert main(["backends", "--bench", "--dataset", "CTS", "--seeds", "5"]) == 0
-        assert "agree bit-for-bit" in capsys.readouterr().out
+        # one line per backend, in table order
+        assert [line.split()[0] for line in lines] == list(BACKENDS)
 
     def test_solve_with_backend(self, capsys):
         from repro.harness.cli import main

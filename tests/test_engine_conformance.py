@@ -1,14 +1,14 @@
 """Cross-engine conformance harness: one matrix pins every engine.
 
-This module is the single place the registry-wide parity contract is
+This module is the single place the table-wide parity contract is
 spelled out and exercised.  The helpers here (``solve_with``,
 ``assert_counts_identical``, ``assert_conformance``) are the canonical
 implementations — ``tests/test_engines.py`` imports them for its
 engine-specific suites, so there is exactly one definition of "engines
 agree" in the tree.
 
-What the matrix pins, for **every registered engine** (discovered via
-``available_engines()``, so a newly registered engine joins the matrix
+What the matrix pins, for **every engine** (discovered via
+``list(ENGINES)``, so a new entry of the table joins the matrix
 automatically and cannot ship unpinned):
 
 * identical Steiner tree — same edge triples, same total weight — on
@@ -28,7 +28,7 @@ from repro.core.config import SolverConfig
 from repro.core.solver import DistributedSteinerSolver
 from repro.graph.generators import grid_graph
 from repro.graph.weights import assign_uniform_weights
-from repro.runtime.engines import available_engines
+from repro.runtime.engines import ENGINES
 from repro.shortest_paths.voronoi import compute_voronoi_cells
 from tests.conftest import (
     astronomical_chain,
@@ -70,15 +70,15 @@ def assert_counts_identical(ref_stats, stats, ref_engine, engine):
 def assert_conformance(graph, seeds, n_ranks=6, engines=None, **cfg):
     """The full cross-engine contract on one solver instance.
 
-    Solves with every engine in ``engines`` (default: every registered
-    engine) and asserts: identical tree everywhere; bit-identical phase
+    Solves with every engine in ``engines`` (default: every engine in
+    the table) and asserts: identical tree everywhere; bit-identical phase
     counters within the BSP family (``sim_time`` to round-off); and
     identical walk-phase message counts across *all* engines (the
     tree-edge walk is order-independent — the Voronoi phase's counts
     are legitimately schedule-dependent, the paper's own Fig. 5/6
     effect).  Returns the per-engine results for extra assertions.
     """
-    names = list(engines) if engines is not None else available_engines()
+    names = list(engines) if engines is not None else list(ENGINES)
     results = {
         engine: solve_with(graph, seeds, engine, n_ranks=n_ranks, **cfg)
         for engine in names
@@ -148,7 +148,7 @@ MATRIX = [
 
 
 class TestConformanceMatrix:
-    """Every registered engine, across topology × weights × ranks."""
+    """Every engine in the table, across topology × weights × ranks."""
 
     @pytest.mark.parametrize("topo,regime,n_ranks", MATRIX)
     def test_cell(self, topo, regime, n_ranks):
@@ -158,8 +158,8 @@ class TestConformanceMatrix:
 
     def test_matrix_covers_every_registered_engine(self):
         """The engine axis is *discovered*, never hand-listed: a new
-        registry entry joins the matrix or this test names it."""
-        names = available_engines()
+        entry of the table joins the matrix or this test names it."""
+        names = list(ENGINES)
         assert set(names) >= {"async-heap", "bsp", "bsp-batched"}
         # and the family split is total over the discovered axis
         assert all(n in BSP_FAMILY or n == "async-heap" for n in names)

@@ -1,6 +1,6 @@
-"""The runtime-engine registry and cross-engine equivalence.
+"""The runtime-engine table and cross-engine equivalence.
 
-The registry contract (``repro.runtime.engines``): every engine drives a
+The engines' contract (``repro.runtime.engines``): every engine drives a
 program to the identical converged state — for the solver, the identical
 ``(src, dist)`` fixpoint and hence the bit-identical Steiner tree (same
 edges, same total weight).  The two bulk-synchronous engines execute the
@@ -24,21 +24,10 @@ from repro.core.voronoi_visitor import VoronoiProgram
 from repro.graph.csr import CSRGraph
 from repro.runtime.engine import AsyncEngine, BSPEngine
 from repro.runtime.engine_batched import BSPBatchedEngine, supports_batch
-from repro.runtime.engines import (
-    DEFAULT_ENGINE,
-    available_engines,
-    engine_help,
-    get_engine,
-    make_engine,
-    register_engine,
-    run_phase_with,
-    verify_engines_agree,
-)
+from repro.runtime.engines import ENGINES, get_engine, make_engine
 from repro.runtime.partition import block_partition, hash_partition
 from tests.conftest import component_seeds, make_connected_graph
 from tests.test_engine_conformance import assert_conformance, solve_with
-
-ENGINES = ("async-heap", "bsp", "bsp-batched")
 
 PROPERTY = settings(
     max_examples=25,
@@ -96,10 +85,8 @@ def partitioned_instance(draw, max_vertices=22, max_weight=8):
 def assert_engine_parity(graph, seeds, n_ranks=6, **cfg):
     """The full cross-engine contract on one solver instance — routed
     through the canonical harness (``tests/test_engine_conformance.py``)
-    restricted to the in-process trio this module focuses on."""
-    return assert_conformance(
-        graph, seeds, n_ranks=n_ranks, engines=ENGINES, **cfg
-    )
+    over every engine in the table."""
+    return assert_conformance(graph, seeds, n_ranks=n_ranks, **cfg)
 
 
 class TestEngineParity:
@@ -149,39 +136,23 @@ class TestEngineParity:
         (src, dist) fixpoint, and exact counter parity for the BSP pair."""
         seeds = np.asarray(component_seeds(random_graph, 4, seed=13))
         part = block_partition(random_graph, 5)
-        results = verify_engines_agree(
-            part,
-            lambda: VoronoiProgram(part),
-            lambda prog: prog.initial_messages(seeds),
-            lambda prog: (prog.src, prog.dist),
-        )
-        assert set(results) == set(available_engines())
-        bsp, batched = results["bsp"], results["bsp-batched"]
-        assert bsp.stats.n_messages == batched.stats.n_messages
-        assert bsp.n_supersteps == batched.n_supersteps
-        assert results["async-heap"].n_supersteps is None
-
-    def test_verify_engines_agree_detects_divergence(self, random_graph):
-        part = block_partition(random_graph, 4)
-        seeds = np.asarray(component_seeds(random_graph, 3, seed=14))
-
-        class Corrupted(VoronoiProgram):
-            pass
-
-        def factory():
-            # corrupt the state the comparison reads, per engine
-            prog = Corrupted(part)
-            return prog
-
-        with pytest.raises(AssertionError, match="disagrees"):
-            verify_engines_agree(
-                part,
-                factory,
-                lambda prog: prog.initial_messages(seeds),
-                # a state that differs on every extraction, so the
-                # cross-engine comparison must trip — deterministically
-                lambda prog, _c=iter(range(99)): (np.arange(5) + next(_c),),
+        runs = {}
+        for name in ENGINES:
+            prog = VoronoiProgram(part)
+            engine = make_engine(name, part)
+            stats = engine.run_phase(
+                "Voronoi Cell", prog, list(prog.initial_messages(seeds))
             )
+            runs[name] = (prog, engine, stats)
+        ref = runs["async-heap"][0]
+        for name, (prog, _, _) in runs.items():
+            assert np.array_equal(prog.src, ref.src), name
+            assert np.array_equal(prog.dist, ref.dist), name
+        _, bsp, bsp_stats = runs["bsp"]
+        _, batched, batched_stats = runs["bsp-batched"]
+        assert bsp_stats.n_messages == batched_stats.n_messages
+        assert bsp.n_supersteps == batched.n_supersteps
+        assert not hasattr(runs["async-heap"][1], "n_supersteps")
 
 
 class TestBatchedEngine:
@@ -251,52 +222,31 @@ class TestBatchedEngine:
 
 
 class TestRegistry:
+    """The engine table: its names, order and lookup."""
+
     def test_default_listed_first(self):
-        names = available_engines()
-        assert names[0] == DEFAULT_ENGINE == "async-heap"
-        assert {"bsp", "bsp-batched"} <= set(names)
-        # deterministic iteration order (the reproducible-bench clause):
-        # default first, everything else alphabetical
-        assert names[1:] == sorted(names[1:])
+        # a fixed iteration order (the reproducible-bench clause): the
+        # paper-faithful default, then the BSP family
+        assert list(ENGINES) == ["async-heap", "bsp", "bsp-batched"]
+        assert SolverConfig().engine == next(iter(ENGINES))
 
     def test_unknown_engine_raises(self):
-        with pytest.raises(ValueError, match="engine"):
+        with pytest.raises(
+            ValueError,
+            match=r"^unknown runtime engine 'mpi'; "
+            r"available: \['async-heap', 'bsp', 'bsp-batched'\]$",
+        ):
             get_engine("mpi")
-
-    def test_engine_help_covers_all(self):
-        help_by_name = engine_help()
-        assert set(help_by_name) == set(available_engines())
-        assert all(help_by_name.values())
 
     def test_make_engine_types(self, random_graph):
         part = block_partition(random_graph, 2)
-        assert isinstance(make_engine("async-heap", part), AsyncEngine)
-        assert isinstance(make_engine("bsp", part), BSPEngine)
-
-    def test_register_and_shadow(self, random_graph):
-        calls = []
-
-        @register_engine("_test-probe", "test-only probe")
-        def probe(partition, machine=None, discipline="priority", **kw):
-            calls.append(partition.n_ranks)
-            return BSPEngine(partition, machine, discipline)
-
-        try:
-            part = block_partition(random_graph, 3)
-            prog = VoronoiProgram(part)
-            seeds = np.asarray(component_seeds(random_graph, 3, seed=16))
-            res = run_phase_with(
-                "_test-probe", part, prog, list(prog.initial_messages(seeds))
-            )
-            assert calls == [3]
-            assert res.engine == "_test-probe"
-            assert res.elapsed_s >= 0
-            assert res.n_supersteps >= 1
-        finally:
-            from repro.runtime import engines as mod
-
-            mod._REGISTRY.pop("_test-probe")
-            mod._HELP.pop("_test-probe")
+        assert type(make_engine("async-heap", part)) is AsyncEngine
+        assert type(make_engine("bsp", part)) is BSPEngine
+        # the aggregation knob reaches every engine; only async reads it
+        for name, cls in ENGINES.items():
+            engine = make_engine(name, part, aggregate_remote=True)
+            assert type(engine) is cls
+            assert engine.aggregate_remote is True
 
 
 class TestSolverConfig:
@@ -372,18 +322,9 @@ class TestCLI:
         from repro.harness.cli import main
 
         assert main(["engines"]) == 0
-        out = capsys.readouterr().out
-        for name in available_engines():
-            assert name in out
-
-    def test_engines_bench(self, capsys):
-        from repro.harness.cli import main
-
-        assert main(
-            ["engines", "--bench", "--dataset", "CTS", "--seeds", "4",
-             "--ranks", "4"]
-        ) == 0
-        assert "identical tree" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        # one line per engine, in table order
+        assert [line.split()[0] for line in lines] == list(ENGINES)
 
     def test_solve_with_engine(self, capsys):
         from repro.harness.cli import main

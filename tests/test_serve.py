@@ -27,6 +27,7 @@ from repro.core.config import SolverConfig
 from repro.core.solver import DistributedSteinerSolver
 from repro.graph.generators import grid_graph
 from repro.graph.weights import assign_uniform_weights
+from repro.runtime.engines import ENGINES
 from repro.serve import (
     ProtocolHandler,
     ServiceClosed,
@@ -37,7 +38,7 @@ from repro.serve import (
     serve_stdio,
     stack_graphs,
 )
-from repro.shortest_paths.backends import available_backends, compute_multisource
+from repro.shortest_paths.backends import BACKENDS, compute_multisource
 
 from tests.conftest import component_seeds, make_connected_graph, near_bound_graph
 
@@ -89,15 +90,15 @@ class TestStackGraphs:
         seed_sets = [component_seeds(g, 3, seed=s) for s in range(4)]
         assert stack_graphs(g, 4).distance_bound() == g.distance_bound()
         fused = fused_multisource(g, seed_sets, backend="delta-numpy")
-        for seeds, diagram in zip(seed_sets, fused.diagrams):
-            solo = compute_multisource(g, seeds, backend="dijkstra").diagram
+        for seeds, diagram in zip(seed_sets, fused):
+            solo = compute_multisource(g, seeds, backend="dijkstra")
             assert np.array_equal(diagram.src, solo.src)
             assert np.array_equal(diagram.dist, solo.dist)
             assert np.array_equal(diagram.pred, solo.pred)
 
 
 class TestFusedSweep:
-    @pytest.mark.parametrize("backend", sorted(available_backends()))
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
     def test_bit_identical_to_solo_all_backends(self, backend):
         g = make_connected_graph(40, 110, seed=7)
         seed_sets = [
@@ -106,9 +107,9 @@ class TestFusedSweep:
             component_seeds(g, 5, seed=3),
         ]
         fused = fused_multisource(g, seed_sets, backend=backend)
-        assert fused.batch_size == 3
-        for seeds, diagram in zip(seed_sets, fused.diagrams):
-            solo = compute_multisource(g, seeds, backend=backend).diagram
+        assert len(fused) == 3
+        for seeds, diagram in zip(seed_sets, fused):
+            solo = compute_multisource(g, seeds, backend=backend)
             assert np.array_equal(diagram.src, solo.src)
             assert np.array_equal(diagram.dist, solo.dist)
             assert np.array_equal(diagram.pred, solo.pred)
@@ -127,8 +128,8 @@ class TestFusedSweep:
             for _ in range(n_req)
         ]
         fused = fused_multisource(g, seed_sets, backend="delta-numpy")
-        for seeds, diagram in zip(seed_sets, fused.diagrams):
-            solo = compute_multisource(g, seeds, backend="delta-numpy").diagram
+        for seeds, diagram in zip(seed_sets, fused):
+            solo = compute_multisource(g, seeds, backend="delta-numpy")
             assert np.array_equal(diagram.src, solo.src)
             assert np.array_equal(diagram.dist, solo.dist)
             assert np.array_equal(diagram.pred, solo.pred)
@@ -144,21 +145,21 @@ class TestDiagramInjection:
         identical tree — the mechanism behind serve's batching."""
         seeds = [0, 23, 77, 140]
         config = SolverConfig(voronoi_backend="delta-numpy", n_ranks=4)
-        ms = compute_multisource(graph, seeds, backend="delta-numpy")
+        vd = compute_multisource(graph, seeds, backend="delta-numpy")
         solver = DistributedSteinerSolver(graph, config)
-        injected = solver.solve(seeds, diagram=ms.diagram)
+        injected = solver.solve(seeds, diagram=vd)
         independent = solver.solve(seeds)
         assert np.array_equal(injected.edges, independent.edges)
         assert injected.total_distance == independent.total_distance
         assert injected.provenance["sweep"] == "injected"
 
     def test_mismatched_seed_set_rejected(self, graph):
-        ms = compute_multisource(graph, [0, 5], backend="delta-numpy")
+        vd = compute_multisource(graph, [0, 5], backend="delta-numpy")
         solver = DistributedSteinerSolver(
             graph, SolverConfig(voronoi_backend="delta-numpy")
         )
         with pytest.raises(ValueError, match="different seed set"):
-            solver.solve([0, 7], diagram=ms.diagram)
+            solver.solve([0, 7], diagram=vd)
 
 
 # --------------------------------------------------------------------- #
@@ -412,21 +413,31 @@ class TestProtocol:
         assert new["id"] == "new" and new["ok"] is True
 
     @pytest.mark.parametrize(
-        "config",
+        "config,error,names",
         [
-            {"machine": {}},
-            {"fault_plan": "boom"},
-            {"aggregate_remote_messages": "false"},
-            {"collect_diagram": "no"},
+            pytest.param({"machine": {}}, "TypeError", None, id="machine"),
+            pytest.param({"fault_plan": "boom"}, "TypeError", None, id="fault_plan"),
+            pytest.param(
+                {"aggregate_remote_messages": "false"}, "TypeError", None,
+                id="aggregate_remote_messages",
+            ),
+            pytest.param({"collect_diagram": "no"}, "TypeError", None, id="collect_diagram"),
+            pytest.param({"engine": "mpi"}, "ValueError", ENGINES, id="engine"),
+            pytest.param(
+                {"voronoi_backend": "cuda"}, "ValueError", BACKENDS, id="voronoi_backend"
+            ),
         ],
-        ids=lambda config: next(iter(config)),
     )
-    def test_bad_machine_config_answered_worker_survives(self, graph, config):
+    def test_bad_machine_config_answered_worker_survives(
+        self, graph, config, error, names
+    ):
         """A config override ``SolverConfig`` rejects — a ``machine``
         that is not a MachineModel, the fault plan (a service argument,
-        not a config field), a string where a bool belongs — is refused
-        in the caller's thread; the batching worker never sees it, so a
-        valid request batched right after it is still answered."""
+        not a config field), a string where a bool belongs, an unknown
+        engine or backend name — is refused in the caller's thread; the
+        batching worker never sees it, so a valid request batched right
+        after it is still answered.  An unknown name is answered with
+        every name the table offers."""
         svc = make_service(graph, batch_window_s=0.05)
         out: list[str] = []
         handler = ProtocolHandler(svc, out.append)
@@ -438,7 +449,9 @@ class TestProtocol:
         svc.close()
         by_id = {r["id"]: r for r in map(json.loads, out)}
         assert by_id["bad"]["ok"] is False
-        assert by_id["bad"]["error"]["type"] == "TypeError"
+        assert by_id["bad"]["error"]["type"] == error
+        for name in names or ():
+            assert repr(name) in by_id["bad"]["error"]["message"]
         assert by_id["ok"]["ok"] is True
         assert drained is True
 

@@ -12,9 +12,12 @@ from repro.core.sequential import sequential_steiner_tree
 from repro.core.solver import DistributedSteinerSolver, distributed_steiner_tree
 from repro.errors import DisconnectedSeedsError, GraphError
 from repro.graph.csr import CSRGraph
-from repro.runtime.engines import available_engines
-from repro.shortest_paths.backends import available_backends, compute_multisource
-from repro.shortest_paths.dijkstra import dijkstra
+from repro.runtime.engines import ENGINES
+from repro.shortest_paths.apsp import seed_pairs_apsp
+from repro.shortest_paths.backends import BACKENDS, compute_multisource
+from repro.shortest_paths.bellman_ford import bellman_ford
+from repro.shortest_paths.delta_stepping import delta_stepping
+from repro.shortest_paths.dijkstra import INF, dijkstra, dijkstra_to_targets
 from repro.shortest_paths.voronoi import compute_voronoi_cells
 from repro.validation import validate_steiner_tree
 from tests.conftest import component_seeds, make_connected_graph, near_bound_graph
@@ -186,7 +189,8 @@ class TestSolverConfig:
 
 class TestInt64DistanceRange:
     """A graph whose distances could overflow int64 is refused before any
-    sweep runs; one just under the bound solves exactly on every path."""
+    sweep or single-source kernel runs; one just under the bound solves
+    exactly on every path."""
 
     @staticmethod
     def path(weight):
@@ -196,16 +200,25 @@ class TestInt64DistanceRange:
         g = self.path(2**62)  # the path sums 3 * 2**62 wrap int64
         with pytest.raises(GraphError, match="overflow"):
             sequential_steiner_tree(g, [0, 3], voronoi_backend="dijkstra")
-        for backend in available_backends():
+        for backend in BACKENDS:
             with pytest.raises(GraphError, match="overflow"):
                 compute_multisource(g, [0, 3], backend=backend)
-        for engine in available_engines():
+        for engine in ENGINES:
             for backend in (None, "delta-numpy"):
                 solver = DistributedSteinerSolver(
                     g, engine=engine, voronoi_backend=backend
                 )
                 with pytest.raises(GraphError, match="overflow"):
                     solver.solve([0, 3])
+        # the single-source kernels behind the KMB baseline, Table I and
+        # the diameter estimate
+        for kernel in (dijkstra, bellman_ford, delta_stepping):
+            with pytest.raises(GraphError, match="overflow"):
+                kernel(g, 0)
+        with pytest.raises(GraphError, match="overflow"):
+            dijkstra_to_targets(g, 0, [3])
+        with pytest.raises(GraphError, match="overflow"):
+            seed_pairs_apsp(g, [0, 3])
 
     def test_graph_at_the_edge_may_be_refused(self):
         # its distances (at most 3 * 2**61) fit, but the conservative
@@ -225,7 +238,7 @@ class TestInt64DistanceRange:
         validate_steiner_tree(g, seeds, ref.edges)
         assert ref.total_distance == sum(int(w) for w in ref.edges[:, 2])
         results = [sequential_steiner_tree(g, seeds, voronoi_backend="delta-numpy")]
-        for engine in available_engines():
+        for engine in ENGINES:
             for backend in (None, "delta-numpy"):
                 results.append(
                     DistributedSteinerSolver(
@@ -237,3 +250,16 @@ class TestInt64DistanceRange:
             assert res.total_distance == ref.total_distance
             assert np.array_equal(res.diagram.dist, ref_vd.dist)
             assert np.array_equal(res.diagram.src, ref_vd.src)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_near_bound_single_source_kernels_agree(self, seed):
+        g = near_bound_graph(seed)
+        seeds = component_seeds(g, 4, seed=seed)
+        source = int(seeds[0])
+        dist, _ = dijkstra(g, source)
+        assert (dist[dist != INF] >= 0).all()
+        for kernel in (bellman_ford, delta_stepping):
+            assert np.array_equal(kernel(g, source)[0], dist), kernel.__name__
+        assert np.array_equal(dijkstra_to_targets(g, source, seeds)[0][seeds], dist[seeds])
+        assert np.array_equal(seed_pairs_apsp(g, seeds)[0], dist[seeds])
+        assert np.array_equal(compute_voronoi_cells(g, [source]).dist, dist)
