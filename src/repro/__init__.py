@@ -49,10 +49,6 @@ from repro.graph import (
 )
 from repro.runtime import MachineModel, QueueDiscipline
 from repro.seeds import SeedStrategy, select_seeds
-from repro.shortest_paths import (
-    near_shortest_path_edges,
-    shortest_path_edges,
-)
 from repro.validation import (
     approximation_error_pct,
     approximation_ratio,
@@ -84,13 +80,11 @@ __all__ = [
     "distributed_steiner_tree",
     "erdos_renyi_graph",
     "grid_graph",
-    "near_shortest_path_edges",
     "preferential_attachment_graph",
     "random_geometric_graph",
     "rmat_graph",
     "select_seeds",
     "sequential_steiner_tree",
-    "shortest_path_edges",
     "validate_steiner_tree",
     "__version__",
 ]

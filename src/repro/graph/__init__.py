@@ -13,7 +13,6 @@ from repro.graph.connectivity import (
     connected_components,
     largest_component_vertices,
 )
-from repro.graph.diameter import approximate_diameter, double_sweep_lower_bound
 from repro.graph.generators import (
     erdos_renyi_graph,
     grid_graph,
@@ -25,10 +24,8 @@ from repro.graph.generators import (
 __all__ = [
     "CSRGraph",
     "WeightSpec",
-    "approximate_diameter",
     "assign_uniform_weights",
     "bfs_levels",
-    "double_sweep_lower_bound",
     "connected_components",
     "largest_component_vertices",
     "erdos_renyi_graph",

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import io as _io
 import os
-from pathlib import Path
 
 import numpy as np
 
@@ -107,16 +106,3 @@ def npz_nbytes(graph: CSRGraph) -> int:
         weights=graph.weights,
     )
     return buf.getbuffer().nbytes
-
-
-def dataset_size_label(nbytes: int) -> str:
-    """Format a byte count the way Table III does (692MB, 2.1GB, ...)."""
-    units = [("TB", 1 << 40), ("GB", 1 << 30), ("MB", 1 << 20), ("KB", 1 << 10)]
-    for name, scale in units:
-        if nbytes >= scale:
-            return f"{nbytes / scale:.1f}{name}"
-    return f"{nbytes}B"
-
-
-# ensure Path is re-exported for typing convenience in callers
-_ = Path

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.graph.csr import CSRGraph
 
 __all__ = ["GraphStats", "graph_stats"]
@@ -51,11 +49,3 @@ def graph_stats(graph: CSRGraph) -> GraphStats:
         weight_max=wmax,
         nbytes=graph.nbytes(),
     )
-
-
-def degree_histogram(graph: CSRGraph) -> np.ndarray:
-    """``hist[d]`` = number of vertices with degree ``d``."""
-    deg = graph.degree()
-    if deg.size == 0:
-        return np.zeros(1, dtype=np.int64)
-    return np.bincount(deg).astype(np.int64)

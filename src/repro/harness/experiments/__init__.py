@@ -2,7 +2,8 @@
 
 Every module exposes ``run(quick: bool = False) -> ExperimentReport``.
 ``quick=True`` shrinks sweeps for test-suite use; the default settings
-are what ``benchmarks/`` and EXPERIMENTS.md use.
+are what ``repro-steiner run <id>`` and
+``python -m repro.harness.experiments_md`` use.
 """
 
 from repro.harness.experiments._shared import ExperimentReport

@@ -23,6 +23,7 @@ from repro.harness.datasets import SEED_COUNTS, load_dataset
 from repro.harness.experiments._shared import ExperimentReport
 from repro.harness.reporting import render_table
 from repro.seeds.selection import select_seeds
+from repro.validation import approximation_error_pct, approximation_ratio
 
 EXP_ID = "table7"
 TITLE = "Approximation quality: D(GS)/Dmin and % error"
@@ -62,8 +63,8 @@ def run(quick: bool = False) -> ExperimentReport:
             # can dip below 1 only if ours beats the reference — clamp
             # semantics: report min(ref, ours) as the divisor's floor
             dmin = min(dmin, ours.total_distance) if source == "reference" else dmin
-            ratio = ours.total_distance / dmin
-            err = (ratio - 1.0) * 100.0
+            ratio = approximation_ratio(ours.total_distance, dmin)
+            err = approximation_error_pct(ours.total_distance, dmin)
             if ratio > 2.0:
                 raise AssertionError(
                     f"2-approximation bound violated on {ds} |S|={k}: {ratio}"

@@ -1,8 +1,8 @@
 """Registry mapping experiment ids to their ``run`` callables.
 
-Keys are the ids used by the CLI (``repro-steiner run <id>``), the
-benchmarks and EXPERIMENTS.md.  Importing is lazy so ``repro.harness``
-stays cheap to import.
+Keys are the ids used by the CLI (``repro-steiner run <id>``) and
+EXPERIMENTS.md.  Importing is lazy so ``repro.harness`` stays cheap to
+import.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ The paper computes the MST ``G'2`` of the small, replicated distance graph
 parallelising an MST over at most ``C(|S|, 2)`` edges buys nothing.  We
 provide Prim (the paper's choice), Kruskal and Borůvka over plain edge
 lists; all three are exercised against each other in tests and in the
-MST-choice ablation bench.
+``ablation-mst`` experiment.
 """
 
 from repro.mst.union_find import UnionFind

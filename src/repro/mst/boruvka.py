@@ -3,7 +3,7 @@
 Included because the paper's discussion of *why not* a distributed MST
 (§III, citing Bader & Cong and the Galois Lonestar study) hinges on the
 behaviour of exactly this algorithm: available parallelism collapses as
-components merge.  The MST ablation bench measures that collapse —
+components merge.  The ``ablation-mst`` experiment measures that collapse —
 components per round — to reproduce the argument quantitatively.
 """
 

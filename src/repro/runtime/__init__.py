@@ -18,7 +18,8 @@ cores are available in this environment, so this package provides a
 * :mod:`~repro.runtime.engines` — the engine table
   (``async-heap`` / ``bsp`` / ``bsp-batched``, selected via
   ``SolverConfig(engine=...)``);
-* :mod:`~repro.runtime.collectives` — simulated ``MPI_Allreduce``;
+* :mod:`~repro.runtime.collectives` — the cost of a chunked
+  ``MPI_Allreduce`` (§V-F, Fig. 8);
 * :mod:`~repro.runtime.memory` — the cluster-wide memory accounting used
   to reproduce Fig. 8.
 
@@ -40,7 +41,6 @@ from repro.runtime.engine import (
 )
 from repro.runtime.engine_batched import BSPBatchedEngine
 from repro.runtime.engines import ENGINES, get_engine, make_engine
-from repro.runtime.collectives import allreduce_min_time, allreduce_elementwise_min
 from repro.runtime.memory import MemoryReport, estimate_memory
 
 __all__ = [
@@ -55,8 +55,6 @@ __all__ = [
     "PhaseStats",
     "QueueDiscipline",
     "VertexProgram",
-    "allreduce_elementwise_min",
-    "allreduce_min_time",
     "block_partition",
     "estimate_memory",
     "get_engine",

@@ -1,11 +1,12 @@
-"""Simulated MPI collectives.
+"""Simulated cost of a chunked ``MPI_Allreduce``.
 
 The distributed algorithm uses ``MPI_Allreduce(MPI_MIN)`` twice (paper
 Alg. 5): once over the per-rank min-distance cross-cell edge buffers
-(``EN``) and once over source-vertex ids during global edge pruning.  The
-simulation performs the reduction **semantically** (element-wise min over
-per-rank arrays) and charges the analytic tree-allreduce cost from the
-:class:`~repro.runtime.cost_model.MachineModel`.
+(``EN``) and once over source-vertex ids during global edge pruning.
+The simulation computes the reduced result directly
+(:func:`repro.core.distance_graph.build_distance_graph`), and the solver
+charges a single-shot reduction through
+:meth:`~repro.runtime.cost_model.MachineModel.allreduce_time`.
 
 §V-F notes memory pressure from allreducing a ~50M-entry buffer in one
 shot and that chunked collectives trade memory for time —
@@ -16,38 +17,10 @@ Fig. 8 discussion.
 from __future__ import annotations
 
 import math
-from typing import Sequence
-
-import numpy as np
 
 from repro.runtime.cost_model import MachineModel
 
-__all__ = [
-    "allreduce_elementwise_min",
-    "allreduce_min_time",
-    "chunked_allreduce_time",
-]
-
-
-def allreduce_elementwise_min(per_rank_arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """Element-wise MIN across per-rank buffers (the semantic result every
-    rank holds after ``MPI_Allreduce(MPI_MIN)``)."""
-    if not per_rank_arrays:
-        raise ValueError("need at least one rank buffer")
-    out = np.array(per_rank_arrays[0], copy=True)
-    for arr in per_rank_arrays[1:]:
-        np.minimum(out, arr, out=out)
-    return out
-
-
-def allreduce_min_time(
-    machine: MachineModel,
-    n_ranks: int,
-    n_elements: int,
-    elem_bytes: int = 8,
-) -> float:
-    """Simulated duration of one allreduce over ``n_elements`` items."""
-    return machine.allreduce_time(n_ranks, n_elements * elem_bytes)
+__all__ = ["chunked_allreduce_time"]
 
 
 def chunked_allreduce_time(

@@ -64,13 +64,17 @@ def dijkstra_to_targets(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Dijkstra that stops once every target is settled.
 
-    This is the kernel the KMB baseline runs once per seed: the paper's
-    Table I measures exactly this "APSP among seeds" cost.  Early exit
-    keeps the asymptotics identical but trims constants on graphs whose
-    seeds cluster.
+    :func:`~repro.shortest_paths.apsp.seed_pairs_apsp` runs this once per
+    seed: the paper's Table I measures exactly this "APSP among seeds"
+    cost.  Early exit keeps the asymptotics identical but trims constants
+    on graphs whose seeds cluster.  The KMB baseline runs the full
+    :func:`dijkstra` instead: it keeps each seed's predecessor tree to
+    expand its MST edges into paths.
     """
     graph.check_distance_range()
     n = graph.n_vertices
+    if not (0 <= source < n):
+        raise GraphError(f"source {source} out of range")
     target_set = {int(t) for t in targets}
     # sorted so the failing target (and thus the error) is deterministic
     for t in sorted(target_set):

@@ -14,8 +14,8 @@ The paper (§III) weighs three families for the distance phase:
 This module provides the latter two as drop-in multi-source kernels
 producing the *identical* fixpoint ``(src, dist)`` as the reference
 (same lexicographic ``(dist, owner)`` tie-break), so the kernel choice
-is a pure performance ablation — exercised by the kernel ablation bench
-and cross-checked by tests.
+is a pure performance ablation — exercised by the ``ablation-kernel``
+experiment and cross-checked by tests.
 
 Neither kernel is in the backend table
 (:data:`repro.shortest_paths.backends.BACKENDS`): the ablation calls
@@ -103,7 +103,8 @@ def compute_voronoi_cells_delta_stepping(
     generalised to multiple sources with the ``(dist, owner)``
     tie-break.  This is the Ceccarello-et-al.-style kernel the paper
     considered and rejected for distributed memory; sequentially it is
-    a legitimate alternative, and the ablation bench compares it.
+    a legitimate alternative, and the ``ablation-kernel`` experiment
+    compares it.
     """
     seeds_arr = validate_seed_set(graph, seeds)
     n = graph.n_vertices

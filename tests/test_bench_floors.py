@@ -6,17 +6,25 @@ that forgot ``--check`` would pass whatever the numbers.  Each script
 must reject that combination with argparse's exit code 2, naming the
 flag, before it times anything.  With ``--check``, every graph's
 verdict, a skip included, lands in the written record.
+
+Nor can a bench script sit unrun: every top-level ``benchmarks/*.py``
+file is named in the CI workflow (outside a comment) or imported by a
+script that is.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARKS = ROOT / "benchmarks"
+CI = ROOT / ".github" / "workflows" / "ci.yml"
 
 
 def _bench_main(script: str):
@@ -62,3 +70,28 @@ def test_check_records_each_verdict(tmp_path):
     for verdict in verdicts.values():
         assert verdict["verdict"] in ("ok", "regressed")
         assert verdict["floor"] == round(verdict["baseline"] * 0.8, 3)
+
+
+def _ci_text() -> str:
+    """The CI workflow without its comment lines."""
+    lines = CI.read_text().splitlines()
+    return "\n".join(line for line in lines if not line.lstrip().startswith("#"))
+
+
+def _imported_modules(script: Path) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(script.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names.add(node.module)
+    return names
+
+
+def test_every_bench_script_runs_in_ci():
+    scripts = {path.stem for path in BENCHMARKS.glob("*.py")}
+    named = set(re.findall(r"benchmarks/(\w+)\.py", _ci_text()))
+    reached = named & scripts
+    for name in sorted(named & scripts):
+        reached |= _imported_modules(BENCHMARKS / f"{name}.py") & scripts
+    assert scripts - reached == set(), "bench scripts no CI step runs"

@@ -1,72 +1,14 @@
-"""Tests for diameter approximation and the JSON report export."""
+"""Tests for the JSON export of experiment reports.
+
+The ``diameter`` in the file name is historical; the name stays so the
+test ids stay stable.
+"""
 
 from __future__ import annotations
 
 import json
 
 import numpy as np
-import pytest
-
-import networkx as nx
-
-from repro.errors import GraphError
-from repro.graph.csr import CSRGraph
-from repro.graph.diameter import approximate_diameter, double_sweep_lower_bound
-from repro.graph.generators import grid_graph
-from tests.conftest import make_connected_graph
-
-
-class TestDoubleSweep:
-    def test_exact_on_path(self):
-        n = 10
-        g = CSRGraph.from_edges(
-            n, [(i, i + 1) for i in range(n - 1)], [3] * (n - 1)
-        )
-        lb, a, b = double_sweep_lower_bound(g, 4)
-        assert lb == 3 * (n - 1)
-        assert {a, b} == {0, n - 1}
-
-    def test_exact_on_unit_grid(self):
-        g = grid_graph(5, 5)
-        lb, _, _ = double_sweep_lower_bound(g, 12)  # centre start
-        assert lb == 8  # opposite corners
-
-    def test_lower_bound_property(self):
-        for seed in range(4):
-            g = make_connected_graph(30, 80, seed=seed + 5000)
-            lb, _, _ = double_sweep_lower_bound(g, 0)
-            nxg = g.to_networkx()
-            true_diam = max(
-                max(lengths.values())
-                for _, lengths in nx.all_pairs_dijkstra_path_length(
-                    nxg, weight="weight"
-                )
-            )
-            assert lb <= true_diam
-
-    def test_bad_start(self):
-        with pytest.raises(GraphError):
-            double_sweep_lower_bound(grid_graph(2, 2), 99)
-
-
-class TestApproximateDiameter:
-    def test_monotone_in_probes(self):
-        g = make_connected_graph(40, 100, seed=6000)
-        one = approximate_diameter(g, n_probes=1, seed=1)
-        many = approximate_diameter(g, n_probes=6, seed=1)
-        assert many >= one
-
-    def test_deterministic(self):
-        g = make_connected_graph(40, 100, seed=6001)
-        assert approximate_diameter(g, seed=2) == approximate_diameter(g, seed=2)
-
-    def test_empty_graph(self):
-        g = CSRGraph.from_edges(0, np.zeros((0, 2), np.int64), [])
-        assert approximate_diameter(g) == 0
-
-    def test_bad_probe_count(self):
-        with pytest.raises(GraphError):
-            approximate_diameter(grid_graph(2, 2), n_probes=0)
 
 
 class TestJsonExport:

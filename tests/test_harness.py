@@ -70,7 +70,9 @@ class TestReporting:
     def test_fmt_bytes(self):
         assert fmt_bytes(100) == "100B"
         assert fmt_bytes(10 << 10) == "10.0KB"
+        assert fmt_bytes(3 << 20) == "3.0MB"
         assert fmt_bytes(3 << 30) == "3.0GB"
+        assert fmt_bytes(7 << 40) == "7.0TB"
 
     def test_render_table_alignment(self):
         out = render_table(["a", "bb"], [[1, 2], [333, 4]], title="T")

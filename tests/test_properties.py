@@ -21,9 +21,11 @@ from repro.graph.csr import CSRGraph
 from repro.mst.boruvka import boruvka_mst
 from repro.mst.kruskal import kruskal_mst
 from repro.mst.prim import prim_mst
-from repro.shortest_paths.bellman_ford import bellman_ford
-from repro.shortest_paths.delta_stepping import delta_stepping
 from repro.shortest_paths.dijkstra import dijkstra
+from repro.shortest_paths.multisource import (
+    compute_voronoi_cells_delta_stepping,
+    compute_voronoi_cells_spfa,
+)
 from repro.shortest_paths.voronoi import compute_voronoi_cells
 from repro.validation import validate_steiner_tree, validate_voronoi_diagram
 
@@ -100,10 +102,8 @@ class TestShortestPathProperties:
         g, seeds = gs
         src = seeds[0]
         d1, _ = dijkstra(g, src)
-        d2, _ = bellman_ford(g, src)
-        d3, _ = delta_stepping(g, src)
-        assert np.array_equal(d1, d2)
-        assert np.array_equal(d1, d3)
+        assert np.array_equal(compute_voronoi_cells_spfa(g, [src]).dist, d1)
+        assert np.array_equal(compute_voronoi_cells_delta_stepping(g, [src]).dist, d1)
 
     @SLOW
     @given(connected_graph_and_seeds())

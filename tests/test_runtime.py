@@ -8,11 +8,7 @@ import pytest
 
 from repro.errors import PartitionError
 from repro.graph.generators import grid_graph, rmat_graph
-from repro.runtime.collectives import (
-    allreduce_elementwise_min,
-    allreduce_min_time,
-    chunked_allreduce_time,
-)
+from repro.runtime.collectives import chunked_allreduce_time
 from repro.runtime.cost_model import MachineModel
 from repro.runtime.memory import estimate_memory
 from repro.runtime.partition import block_partition, hash_partition
@@ -154,26 +150,6 @@ class TestCostModel:
 
 
 class TestCollectives:
-    def test_elementwise_min(self):
-        a = np.asarray([5, 2, 9])
-        b = np.asarray([3, 7, 1])
-        out = allreduce_elementwise_min([a, b])
-        assert list(out) == [3, 2, 1]
-        # inputs untouched
-        assert list(a) == [5, 2, 9]
-
-    def test_elementwise_min_single_rank(self):
-        a = np.asarray([4, 4])
-        assert list(allreduce_elementwise_min([a])) == [4, 4]
-
-    def test_elementwise_min_empty_raises(self):
-        with pytest.raises(ValueError):
-            allreduce_elementwise_min([])
-
-    def test_allreduce_min_time(self):
-        m = MachineModel()
-        assert allreduce_min_time(m, 8, 1000) > 0
-
     def test_chunked_tradeoff(self):
         m = MachineModel()
         single = chunked_allreduce_time(m, 16, 100_000, 100_000)

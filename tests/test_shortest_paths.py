@@ -1,6 +1,6 @@
-"""Unit tests for shortest-path kernels: Dijkstra, Bellman–Ford,
-Δ-stepping, APSP-among-seeds — all cross-checked against networkx and
-each other."""
+"""Unit tests for shortest-path kernels: Dijkstra, APSP-among-seeds and,
+from one seed, the SPFA and Δ-stepping Voronoi kernels — all
+cross-checked against networkx and each other."""
 
 from __future__ import annotations
 
@@ -11,13 +11,15 @@ import networkx as nx
 
 from repro.errors import GraphError, SeedError
 from repro.shortest_paths.apsp import seed_pairs_apsp
-from repro.shortest_paths.bellman_ford import bellman_ford
-from repro.shortest_paths.delta_stepping import delta_stepping
 from repro.shortest_paths.dijkstra import (
     INF,
     dijkstra,
     dijkstra_to_targets,
     reconstruct_path,
+)
+from repro.shortest_paths.multisource import (
+    compute_voronoi_cells_delta_stepping,
+    compute_voronoi_cells_spfa,
 )
 from tests.conftest import component_seeds, make_connected_graph
 
@@ -86,25 +88,33 @@ class TestDijkstraToTargets:
         with pytest.raises(GraphError):
             dijkstra_to_targets(small_grid, 0, [999])
 
+    @pytest.mark.parametrize("source", [-1, 36])
+    def test_source_out_of_range(self, small_grid, source):
+        with pytest.raises(GraphError, match="source"):
+            dijkstra_to_targets(small_grid, source, [3])
+
 
 class TestAlternativeKernels:
+    """Run from one seed, the SPFA and Δ-stepping Voronoi kernels are
+    independent single-source oracles for :func:`dijkstra`."""
+
     @pytest.mark.parametrize("seed", range(5))
-    def test_bellman_ford_equals_dijkstra(self, seed):
+    def test_spfa_equals_dijkstra(self, seed):
         g = make_connected_graph(35, 90, seed=seed)
         d1, _ = dijkstra(g, 0)
-        d2, _ = bellman_ford(g, 0)
-        assert np.array_equal(d1, d2)
+        assert np.array_equal(compute_voronoi_cells_spfa(g, [0]).dist, d1)
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("delta", [1, 3, 10, None])
     def test_delta_stepping_equals_dijkstra(self, seed, delta):
         g = make_connected_graph(30, 80, seed=seed + 50)
         d1, _ = dijkstra(g, 0)
-        d2, _ = delta_stepping(g, 0, delta)
-        assert np.array_equal(d1, d2)
+        vd = compute_voronoi_cells_delta_stepping(g, [0], delta)
+        assert np.array_equal(vd.dist, d1)
 
-    def test_bellman_ford_pred_tight(self, random_graph):
-        dist, pred = bellman_ford(random_graph, 0)
+    def test_spfa_pred_tight(self, random_graph):
+        vd = compute_voronoi_cells_spfa(random_graph, [0])
+        dist, pred = vd.dist, vd.pred
         for v in range(random_graph.n_vertices):
             if v == 0 or dist[v] == INF:
                 continue
@@ -113,11 +123,11 @@ class TestAlternativeKernels:
 
     def test_delta_stepping_bad_delta(self, small_grid):
         with pytest.raises(GraphError):
-            delta_stepping(small_grid, 0, 0)
+            compute_voronoi_cells_delta_stepping(small_grid, [0], 0)
 
-    def test_bellman_ford_source_out_of_range(self, small_grid):
-        with pytest.raises(GraphError):
-            bellman_ford(small_grid, -1)
+    def test_spfa_source_out_of_range(self, small_grid):
+        with pytest.raises(SeedError):
+            compute_voronoi_cells_spfa(small_grid, [-1])
 
 
 class TestAPSP:

@@ -15,9 +15,11 @@ from repro.graph.csr import CSRGraph
 from repro.runtime.engines import ENGINES
 from repro.shortest_paths.apsp import seed_pairs_apsp
 from repro.shortest_paths.backends import BACKENDS, compute_multisource
-from repro.shortest_paths.bellman_ford import bellman_ford
-from repro.shortest_paths.delta_stepping import delta_stepping
 from repro.shortest_paths.dijkstra import INF, dijkstra, dijkstra_to_targets
+from repro.shortest_paths.multisource import (
+    compute_voronoi_cells_delta_stepping,
+    compute_voronoi_cells_spfa,
+)
 from repro.shortest_paths.voronoi import compute_voronoi_cells
 from repro.validation import validate_steiner_tree
 from tests.conftest import component_seeds, make_connected_graph, near_bound_graph
@@ -210,11 +212,17 @@ class TestInt64DistanceRange:
                 )
                 with pytest.raises(GraphError, match="overflow"):
                     solver.solve([0, 3])
-        # the single-source kernels behind the KMB baseline, Table I and
-        # the diameter estimate
-        for kernel in (dijkstra, bellman_ford, delta_stepping):
+        # the single-source kernels behind the KMB baseline and Table I,
+        # and the Voronoi kernels that cross-check them from one seed
+        with pytest.raises(GraphError, match="overflow"):
+            dijkstra(g, 0)
+        for kernel in (
+            compute_voronoi_cells_spfa,
+            compute_voronoi_cells_delta_stepping,
+            compute_voronoi_cells,
+        ):
             with pytest.raises(GraphError, match="overflow"):
-                kernel(g, 0)
+                kernel(g, [0])
         with pytest.raises(GraphError, match="overflow"):
             dijkstra_to_targets(g, 0, [3])
         with pytest.raises(GraphError, match="overflow"):
@@ -258,8 +266,8 @@ class TestInt64DistanceRange:
         source = int(seeds[0])
         dist, _ = dijkstra(g, source)
         assert (dist[dist != INF] >= 0).all()
-        for kernel in (bellman_ford, delta_stepping):
-            assert np.array_equal(kernel(g, source)[0], dist), kernel.__name__
+        for kernel in (compute_voronoi_cells_spfa, compute_voronoi_cells_delta_stepping):
+            assert np.array_equal(kernel(g, [source]).dist, dist), kernel.__name__
         assert np.array_equal(dijkstra_to_targets(g, source, seeds)[0][seeds], dist[seeds])
         assert np.array_equal(seed_pairs_apsp(g, seeds)[0], dist[seeds])
         assert np.array_equal(compute_voronoi_cells(g, [source]).dist, dist)

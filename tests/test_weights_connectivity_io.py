@@ -17,14 +17,13 @@ from repro.graph.connectivity import (
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import erdos_renyi_graph, grid_graph
 from repro.graph.io import (
-    dataset_size_label,
     load_edge_list,
     load_npz,
     npz_nbytes,
     save_edge_list,
     save_npz,
 )
-from repro.graph.stats import degree_histogram, graph_stats
+from repro.graph.stats import graph_stats
 from repro.graph.weights import WeightSpec, assign_uniform_weights
 
 
@@ -147,13 +146,6 @@ class TestIO:
         n = npz_nbytes(weighted_grid)
         assert n >= weighted_grid.nbytes()  # container overhead included
 
-    def test_size_label(self):
-        assert dataset_size_label(512) == "512B"
-        assert dataset_size_label(2048).endswith("KB")
-        assert dataset_size_label(3 << 20).endswith("MB")
-        assert dataset_size_label(5 << 30).endswith("GB")
-        assert dataset_size_label(7 << 40).endswith("TB")
-
 
 class TestStats:
     def test_graph_stats(self, weighted_grid):
@@ -169,11 +161,3 @@ class TestStats:
         g = CSRGraph.from_edges(2, np.zeros((0, 2), np.int64), [])
         st = graph_stats(g)
         assert st.weight_min == 0 and st.weight_max == 0
-
-    def test_degree_histogram(self):
-        g = grid_graph(3, 3)
-        hist = degree_histogram(g)
-        # 4 corners (deg 2), 4 edges (deg 3), 1 centre (deg 4)
-        assert hist[2] == 4
-        assert hist[3] == 4
-        assert hist[4] == 1
