@@ -179,12 +179,10 @@ class SolverConfig:
         key ``(graph_hash, frozenset(seeds), config_fingerprint)``: two
         configurations share a fingerprint iff a cached result computed
         under one is valid for the other.  Every dataclass field
-        participates; the serve tier's fault plan is not a config field
-        (it is passed to :class:`~repro.serve.service.SolverService`),
-        so chaos and fault-free runs share cache entries.  The machine
-        model is flattened into its constants, values are canonicalised
-        (enum -> value) and serialised with sorted keys, so the digest
-        is independent of field ordering and of dict-insertion order.
+        participates.  The machine model is flattened into its
+        constants, values are canonicalised (enum -> value) and
+        serialised with sorted keys, so the digest is independent of
+        field ordering and of dict-insertion order.
         """
         blob = json.dumps(self.fingerprint_material(), sort_keys=True, default=str)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]

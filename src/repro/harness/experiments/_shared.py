@@ -7,6 +7,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
+from repro.api.schema import jsonable
 from repro.core.config import SolverConfig
 from repro.core.result import SteinerTreeResult
 from repro.core.solver import DistributedSteinerSolver
@@ -21,23 +22,6 @@ __all__ = [
     "solve",
     "solve_on_engines",
 ]
-
-
-def _jsonable(obj: Any) -> Any:
-    """Best-effort conversion of report data to JSON-safe values."""
-    import numpy as np
-
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
 
 
 @dataclass
@@ -70,7 +54,7 @@ class ExperimentReport:
                 "exp_id": self.exp_id,
                 "title": self.title,
                 "notes": self.notes,
-                "data": _jsonable(self.data),
+                "data": jsonable(self.data),
             },
             indent=indent,
         )

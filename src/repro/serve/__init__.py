@@ -19,9 +19,9 @@ See ``docs/serve.md`` for the protocol and the cache-key contract.
 """
 
 from repro.serve.batch import fused_multisource, stack_graphs
-from repro.serve.cache import CacheStats, SolveCache, solution_key
+from repro.serve.cache import CacheStats, SolveCache
 from repro.serve.protocol import MAX_LINE_BYTES, OversizedLineError, ProtocolHandler
-from repro.serve.server import make_tcp_server, serve_stdio, serve_tcp
+from repro.serve.server import make_tcp_server, serve_stdio
 from repro.serve.service import (
     QueueFull,
     RequestTimeout,
@@ -46,7 +46,5 @@ __all__ = [
     "fused_multisource",
     "make_tcp_server",
     "serve_stdio",
-    "serve_tcp",
-    "solution_key",
     "stack_graphs",
 ]

@@ -28,9 +28,6 @@ The disk tier is hardened against torn/corrupt pickles (a crash mid
 any failure to load an entry quarantines the bad file under a
 ``.corrupt`` suffix — so it is inspectable but never re-read — counts
 it in ``stats.corrupt``, and the lookup continues as a plain miss.
-Corruption is injectable for chaos tests via a
-:class:`~repro.faults.FaultPlan` carrying ``corrupt_cache`` actions
-(each consumed action garbles the next entry written).
 
 The cache is duck-typed from the solver's side (``get_solution`` /
 ``put_solution`` / ``get_diagram`` / ``put_diagram``) — tests can
@@ -45,29 +42,12 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Hashable, Iterable, Optional
-
-if TYPE_CHECKING:
-    from repro.core.config import SolverConfig
-    from repro.faults import FaultPlan
-    from repro.graph.csr import CSRGraph
+from typing import Any, Hashable, Optional
 
 from repro.core.result import SteinerTreeResult
 from repro.shortest_paths.voronoi import VoronoiDiagram
 
-__all__ = ["CacheStats", "SolveCache", "solution_key"]
-
-
-def solution_key(
-    graph: "CSRGraph", seeds: Iterable[int], config: "SolverConfig"
-) -> tuple[str, frozenset[int], str]:
-    """Build the canonical cache key ``(graph_hash, frozenset(seeds),
-    config_fingerprint)`` from live objects."""
-    return (
-        graph.content_hash(),
-        frozenset(int(s) for s in seeds),
-        config.fingerprint(),
-    )
+__all__ = ["CacheStats", "SolveCache"]
 
 
 def _key_digest(key: Hashable) -> str:
@@ -140,10 +120,6 @@ class SolveCache:
         When set, solutions are pickled under this directory
         (created if missing) and reloaded on in-memory misses — warm
         state across server restarts.
-    fault_plan:
-        Optional :class:`~repro.faults.FaultPlan`; its ``corrupt_cache``
-        actions garble disk entries as they are written (deterministic
-        torn-write injection for the chaos suite).
     """
 
     def __init__(
@@ -151,8 +127,6 @@ class SolveCache:
         max_solutions: int = 128,
         max_diagrams: int = 32,
         disk_dir: str | Path | None = None,
-        *,
-        fault_plan: "FaultPlan | None" = None,
     ) -> None:
         if max_solutions < 1 or max_diagrams < 1:
             raise ValueError("cache capacities must be >= 1")
@@ -160,7 +134,6 @@ class SolveCache:
         self._diagrams = _LRU(max_diagrams)
         self._lock = threading.Lock()
         self.stats = CacheStats()
-        self.fault_plan = fault_plan
         self.disk_dir: Path | None = None
         if disk_dir is not None:
             self.disk_dir = Path(disk_dir)
@@ -245,15 +218,6 @@ class SolveCache:
             tmp.replace(path)  # atomic within one filesystem
         except OSError:  # disk tier is best-effort, never fatal
             tmp.unlink(missing_ok=True)
-            return
-        if self.fault_plan is not None and self.fault_plan.take("corrupt_cache"):
-            # injected torn write: truncate mid-entry, as a crash between
-            # write and rename would leave it on a non-atomic filesystem
-            try:
-                data = path.read_bytes()
-                path.write_bytes(data[: max(1, len(data) // 2)])
-            except OSError:  # pragma: no cover - injection best-effort
-                pass
 
     def _disk_load(self, key: Hashable) -> Optional[SteinerTreeResult]:
         """Load one disk entry; any failure quarantines the file and

@@ -98,7 +98,10 @@ class ProtocolHandler:
         self._write = write
         self._on_shutdown = on_shutdown
         self._write_lock = threading.Lock()
-        self._inflight: list = []  # pending slots awaiting resolution
+        # solves submitted by this conversation and not yet answered;
+        # counted, not listed, so an answered slot is never kept alive
+        self._inflight = 0
+        self._inflight_cv = threading.Condition()
 
     # ------------------------------------------------------------------ #
     def send(self, payload: dict) -> None:
@@ -168,26 +171,36 @@ class ProtocolHandler:
             return False
 
         # solve: submit without blocking the read loop; the batching
-        # worker resolves the slot and _completed writes the envelope
+        # worker resolves the slot and _completed writes the envelope.
+        # Count the solve first: the worker may answer it before
+        # submit() returns.
+        with self._inflight_cv:
+            self._inflight += 1
         try:
-            pending = self.service.submit(request, on_done=self._completed)
+            self.service.submit(request, on_done=self._completed)
         except Exception as exc:
+            self._answered()
             self.send(error_payload(request.id, exc))
-            return True
-        self._inflight.append(pending)
         return True
 
     # ------------------------------------------------------------------ #
     def _completed(self, pending: "_Pending") -> None:
-        self._inflight = [p for p in self._inflight if p is not pending]
-        if pending.error is not None:
-            self.send(error_payload(pending.request.id, pending.error))
-        else:
-            self.send(response_payload(pending.request.id, result=pending.result))
+        try:
+            if pending.error is not None:
+                self.send(error_payload(pending.request.id, pending.error))
+            else:
+                self.send(response_payload(pending.request.id, result=pending.result))
+        finally:
+            self._answered()
+
+    def _answered(self) -> None:
+        with self._inflight_cv:
+            self._inflight -= 1
+            self._inflight_cv.notify_all()
 
     def drain(self, timeout: float | None = None) -> None:
         """Block until every in-flight solve of this conversation has
         been answered (EOF and ``shutdown`` call this so no accepted
         request is silently dropped)."""
-        for pending in list(self._inflight):
-            pending.event.wait(timeout)
+        with self._inflight_cv:
+            self._inflight_cv.wait_for(lambda: self._inflight == 0, timeout)

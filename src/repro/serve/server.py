@@ -14,10 +14,7 @@ fixed-size chunks, never buffered whole — and a client that dies
 mid-read or mid-write (reset, broken pipe) ends only its own
 conversation, after the handler's in-flight solves have resolved (the
 batching worker must never inherit a write into a dead socket as a
-crash).  With a ``drop_connection`` fault armed on the service's
-:class:`~repro.faults.FaultPlan`, the transport severs the connection
-just before writing the next response — the chaos probe for exactly
-that client-death path.
+crash).
 
 Neither entry point closes the service it is given: the caller (the
 ``repro-steiner serve`` CLI, a test fixture, a benchmark) owns the
@@ -26,7 +23,6 @@ service lifecycle and may run several transports against it.
 
 from __future__ import annotations
 
-import socket
 import socketserver
 import sys
 import threading
@@ -35,7 +31,7 @@ from typing import IO
 from repro.serve.protocol import ProtocolHandler
 from repro.serve.service import SolverService
 
-__all__ = ["make_tcp_server", "serve_stdio", "serve_tcp"]
+__all__ = ["make_tcp_server", "serve_stdio"]
 
 
 def serve_stdio(
@@ -72,21 +68,10 @@ def serve_stdio(
 class _Handler(socketserver.StreamRequestHandler):
     """One TCP connection: a stdio-shaped conversation over a socket."""
 
-    def handle(self) -> None:  # pragma: no cover - exercised via serve_tcp
+    def handle(self) -> None:
         server: "_Server" = self.server  # type: ignore[assignment]
 
         def write(line: str) -> None:
-            plan = server.service.fault_plan
-            if plan is not None and plan.take("drop_connection"):
-                # injected fault: the client vanishes just before its
-                # response hits the wire (mid-response from its view).
-                # shutdown(), not close(): rfile/wfile hold io-refs on
-                # the socket, so close() alone would never send the FIN
-                try:
-                    self.connection.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-                return
             try:
                 self.wfile.write(line.encode() + b"\n")
                 self.wfile.flush()
@@ -152,18 +137,3 @@ def make_tcp_server(
     server on their own thread."""
     return _Server((host, port), service)
 
-
-def serve_tcp(
-    service: SolverService,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    *,
-    ready: threading.Event | None = None,
-) -> None:
-    """Serve forever on ``host:port`` until a client sends ``shutdown``
-    (or the caller interrupts).  Sets ``ready`` once listening — by
-    then ``port=0`` has been resolved to a real port."""
-    with make_tcp_server(service, host, port) as server:
-        if ready is not None:
-            ready.set()
-        server.serve_forever(poll_interval=0.1)

@@ -42,7 +42,6 @@ from repro.api import Session
 from repro.api.schema import SolveRequest, parse_request
 from repro.core.config import SolverConfig
 from repro.core.result import SteinerTreeResult
-from repro.faults import FaultPlan, env_plan
 from repro.serve.batch import fused_multisource
 from repro.serve.cache import SolveCache
 
@@ -211,21 +210,11 @@ class SolverService:
         pending request, and the cap on requests fused into one sweep
         (each fused request costs one graph copy of memory during the
         sweep).
-    graph_loader:
-        ``name -> CSRGraph`` used by :meth:`open_graph`; defaults to
-        :func:`repro.harness.datasets.load_dataset` (memoised).
     max_queue_depth:
         Admission bound: with more than this many requests already
         queued, :meth:`submit` sheds the newcomer with :class:`QueueFull`
         (``retry_after_ms`` sized from the backlog) instead of buffering
         unbounded work.  ``None`` (default) = unbounded.
-    fault_plan:
-        Deterministic chaos: a :class:`repro.faults.FaultPlan` whose
-        ``corrupt_cache`` / ``drop_connection`` actions the default
-        cache and the TCP transport inject at their scheduled points.
-        ``None`` (default) = the ``REPRO_FAULT_PLAN`` env hook, which is
-        itself usually unset.  No fault reaches a solve, so a plan never
-        changes a correct run's output.
     """
 
     def __init__(
@@ -235,9 +224,7 @@ class SolverService:
         cache: SolveCache | bool | None = None,
         batch_window_s: float = 0.005,
         max_batch: int = 8,
-        graph_loader: Callable[[str], Any] | None = None,
         max_queue_depth: int | None = None,
-        fault_plan: FaultPlan | None = None,
         **config_kwargs: Any,
     ) -> None:
         if config is not None and config_kwargs:
@@ -249,11 +236,8 @@ class SolverService:
             config_kwargs.setdefault("voronoi_backend", "delta-numpy")
             config = SolverConfig(**config_kwargs)
         self.config = config
-        #: the deterministic chaos schedule every serve-tier consumer
-        #: (cache corruption, TCP connection drops) draws from
-        self.fault_plan = fault_plan if fault_plan is not None else env_plan()
         if cache is None or cache is True:
-            cache = SolveCache(fault_plan=self.fault_plan)
+            cache = SolveCache()
         self.cache: SolveCache | None = cache if cache is not False else None
         if batch_window_s < 0:
             raise ValueError("batch_window_s must be >= 0")
@@ -264,11 +248,6 @@ class SolverService:
         if max_queue_depth is not None and max_queue_depth < 1:
             raise ValueError("max_queue_depth must be >= 1 (or None)")
         self.max_queue_depth = max_queue_depth
-        if graph_loader is None:
-            from repro.harness.datasets import load_dataset
-
-            graph_loader = load_dataset
-        self._graph_loader = graph_loader
 
         self.counters = ServeCounters()
         self._sessions: dict[str, Session] = {}
@@ -306,7 +285,9 @@ class SolverService:
             session = self._sessions.get(name)
         if session is not None:
             return session
-        graph = self._graph_loader(name)  # raises KeyError on unknown names
+        from repro.harness.datasets import load_dataset
+
+        graph = load_dataset(name)  # raises KeyError on unknown names
         with self._cv:
             # double-checked: another thread may have won the load race
             session = self._sessions.get(name)

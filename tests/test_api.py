@@ -212,7 +212,8 @@ class TestConfigTypes:
 class TestOneSpellingPerOption:
     """Each option has exactly one spelling: the old keyword aliases,
     the ``bsp`` flag and the ``backend=`` side doors are rejected, and
-    the fault plan is a ``SolverService`` argument, not a config field."""
+    ``fault_plan``, which names no option, is refused like any unknown
+    field."""
 
     @pytest.mark.parametrize(
         "keyword", ["bsp", "ranks", "queue", "backend", "fault_plan"]

@@ -1,18 +1,16 @@
-"""The chaos suite: deterministic fault injection end to end.
+"""The serve tier's failure contracts (``docs/robustness.md``), end to end.
 
-Everything here runs a *scripted* failure (:class:`repro.faults.FaultPlan`)
-against the serve robustness machinery and checks the documented
-contracts (``docs/robustness.md``):
+Each test causes its failure itself, with no hook in the code under
+test, and checks the documented recovery:
 
 * serve answers expired deadlines with a structured ``timeout`` error
   (never hangs), sheds over-queue load with ``retry_after_ms``, drains
-  gracefully, and survives clients whose connections drop
-  mid-response;
-* a corrupt disk-cache entry is quarantined (``.corrupt``), counted,
-  and served as a plain miss.
-
-Marked ``chaos``: the CI chaos job runs exactly this file with
-``-m chaos``; the full tier-1 run includes it too.
+  gracefully, and survives a client that closes its connection before
+  its response is written;
+* an oversized request line is answered with a structured
+  ``oversized`` error and the conversation stays up;
+* a torn disk-cache entry is quarantined (``.corrupt``), counted, and
+  served as a plain miss.
 """
 
 from __future__ import annotations
@@ -25,11 +23,11 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.config import SolverConfig
-from repro.faults import ENV_VAR, FaultAction, FaultPlan, env_plan
 from repro.graph.generators import grid_graph
 from repro.graph.weights import assign_uniform_weights
 from repro.serve import (
+    MAX_LINE_BYTES,
+    ProtocolHandler,
     QueueFull,
     RequestTimeout,
     ServiceDraining,
@@ -38,64 +36,6 @@ from repro.serve import (
     make_tcp_server,
 )
 from repro.serve.cache import CacheStats
-
-pytestmark = pytest.mark.chaos
-
-
-# --------------------------------------------------------------------- #
-# the plan itself
-# --------------------------------------------------------------------- #
-class TestFaultPlan:
-    def test_actions_fire_once_and_reset(self):
-        plan = FaultPlan([FaultAction("drop_connection")])
-        assert plan.take("corrupt_cache") == []
-        assert len(plan.take("drop_connection")) == 1
-        assert plan.take("drop_connection") == []
-        assert plan.pending() == 0
-        assert [a.kind for a in plan.fired()] == ["drop_connection"]
-        plan.reset()
-        assert plan.pending() == 1
-
-    def test_json_round_trip(self):
-        plan = FaultPlan(
-            [FaultAction("corrupt_cache"), FaultAction("drop_connection")]
-        )
-        assert FaultPlan.from_json(plan.to_json()).actions == plan.actions
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="unknown fault kind"):
-            FaultAction("explode")
-        with pytest.raises(ValueError, match="list"):
-            FaultPlan.from_json("42")
-
-    def test_env_plan_parsed_once_and_shared(self, monkeypatch, tmp_path):
-        text = FaultPlan([FaultAction("corrupt_cache")]).to_json()
-        monkeypatch.setenv(ENV_VAR, text)
-        first = env_plan()
-        assert first is env_plan()  # same instance: shared consumption
-        assert len(first) == 1
-        path = tmp_path / "plan.json"
-        path.write_text(text)
-        monkeypatch.setenv(ENV_VAR, f"@{path}")
-        from_file = env_plan()
-        assert from_file is not first
-        assert from_file.actions == first.actions
-        monkeypatch.delenv(ENV_VAR)
-        assert env_plan() is None
-
-    def test_env_plan_reaches_service_cache_and_transport(self, monkeypatch):
-        # without a fault_plan argument the service takes the env plan;
-        # its default cache and the TCP transport draw from service.fault_plan
-        monkeypatch.setenv(ENV_VAR, FaultPlan([FaultAction("corrupt_cache")]).to_json())
-        svc = SolverService()
-        assert svc.fault_plan is env_plan()
-        assert svc.cache.fault_plan is svc.fault_plan
-        svc.close()
-
-    def test_env_plan_misconfig_is_loud(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "{not json")
-        with pytest.raises(ValueError):
-            env_plan()
 
 
 # --------------------------------------------------------------------- #
@@ -350,26 +290,20 @@ class TestDrainAndHealth:
 
 class TestDroppedConnections:
     def test_client_drop_mid_response_leaves_service_alive(self, graph):
-        plan = FaultPlan([FaultAction("drop_connection")])
-        svc = SolverService(
-            config=SolverConfig(voronoi_backend="delta-numpy"),
-            fault_plan=plan,
-            batch_window_s=0.01,
-        )
-        svc.add_graph("g", graph)
-        assert svc.fault_plan is plan
-        assert svc.cache.fault_plan is plan
+        svc = make_service(graph)
         server, port = tcp_fixture(svc)
         try:
+            # the client dies before its response: it sends a solve and
+            # closes, so the answer is written into a dead connection
             with socket.create_connection(("127.0.0.1", port), timeout=30) as s:
-                f = s.makefile("rw", encoding="utf-8", newline="\n")
-                f.write(
-                    json.dumps({"id": "x", "graph": "g", "seeds": [0, 9, 90]}) + "\n"
+                s.sendall(
+                    json.dumps({"id": "x", "graph": "g", "seeds": [0, 9, 90]}).encode()
+                    + b"\n"
                 )
-                f.flush()
-                # the injected fault severs the socket instead of writing
-                assert f.readline() == ""
-            assert plan.pending() == 0
+            deadline = time.monotonic() + 30
+            while svc.counters.responses < 1:
+                assert time.monotonic() < deadline, "the dropped request was never solved"
+                time.sleep(0.005)
             # the service and its batching worker survived: a fresh
             # client is served normally
             (pong,) = tcp_chat(port, [json.dumps({"id": "p", "op": "ping"})], 1)
@@ -384,8 +318,64 @@ class TestDroppedConnections:
             server.shutdown()
             server.server_close()
             svc.close()
-        # the dropped request WAS solved; only its write was severed
+        # the dropped request WAS solved; only its reader was gone
         assert svc.counters.responses == 2
+
+
+def padded_ping(rid, n_bytes):
+    """A ``ping`` request exactly ``n_bytes`` long (newline excluded),
+    padded with JSON whitespace inside the object."""
+    head = json.dumps({"id": rid})[:-1] + ","
+    tail = '"op": "ping"}'
+    return head + " " * (n_bytes - len(head) - len(tail)) + tail
+
+
+class TestBoundedReads:
+    def test_oversized_string_line_answered_conversation_stays_up(self, graph):
+        svc = make_service(graph)
+        out: list[str] = []
+        handler = ProtocolHandler(svc, out.append, max_line_bytes=64)
+        assert handler.handle_line(padded_ping("big", 65))
+        assert handler.handle_line(json.dumps({"id": "p", "op": "ping"}))
+        svc.close()
+        oversized, pong = map(json.loads, out)
+        assert oversized["ok"] is False
+        assert oversized["id"] is None
+        assert oversized["error"]["code"] == "oversized"
+        assert pong["id"] == "p" and pong["pong"] is True
+
+    @pytest.mark.parametrize(
+        "n_bytes,answered",
+        [
+            pytest.param(MAX_LINE_BYTES - 1, True, id="bound-minus-one"),
+            pytest.param(MAX_LINE_BYTES, False, id="bound"),
+            pytest.param(3 * MAX_LINE_BYTES, False, id="three-bounds"),
+        ],
+    )
+    def test_tcp_line_bound_counts_the_newline(self, graph, n_bytes, answered):
+        """The bound counts the newline, so a line of ``MAX_LINE_BYTES``
+        content bytes is the first refused; a longer one is discarded
+        without being buffered.  Either way the next request on the same
+        connection is answered."""
+        svc = make_service(graph)
+        server, port = tcp_fixture(svc)
+        try:
+            first, pong = tcp_chat(
+                port,
+                [padded_ping("big", n_bytes), json.dumps({"id": "p", "op": "ping"})],
+                2,
+            )
+        finally:
+            server.shutdown()
+            server.server_close()
+            svc.close()
+        if answered:
+            assert first["id"] == "big" and first["pong"] is True
+        else:
+            assert first["ok"] is False
+            assert first["id"] is None
+            assert first["error"]["code"] == "oversized"
+        assert pong["id"] == "p" and pong["pong"] is True
 
 
 # --------------------------------------------------------------------- #
@@ -394,14 +384,15 @@ class TestDroppedConnections:
 class TestCorruptCacheRecovery:
     def test_corrupt_entry_quarantined_and_recomputed(self, graph, tmp_path):
         seeds = [0, 9, 90]
-        plan = FaultPlan([FaultAction("corrupt_cache")])
-        first = SolverService(
-            cache=SolveCache(disk_dir=tmp_path, fault_plan=plan), batch_window_s=0
-        )
+        first = SolverService(cache=SolveCache(disk_dir=tmp_path), batch_window_s=0)
         first.add_graph("g", graph)
         r1 = first.solve("g", seeds)
         first.close()
-        assert plan.pending() == 0  # the torn write happened
+        # a torn write: the entry cut off mid-pickle, as a crash between
+        # write and rename would leave it on a non-atomic filesystem
+        (entry,) = tmp_path.glob("*.pkl")
+        data = entry.read_bytes()
+        entry.write_bytes(data[: len(data) // 2])
 
         # a restarted server must survive the corrupt entry: quarantine,
         # count, recompute — and still answer correctly

@@ -12,10 +12,15 @@ The acceptance anchors:
 
 from __future__ import annotations
 
+import gc
 import io
 import json
+import queue
 import socket
+import sys
 import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
@@ -38,6 +43,7 @@ from repro.serve import (
     serve_stdio,
     stack_graphs,
 )
+from repro.serve.service import _Pending
 from repro.shortest_paths.backends import BACKENDS, compute_multisource
 
 from tests.conftest import component_seeds, make_connected_graph, near_bound_graph
@@ -351,6 +357,31 @@ class TestServiceBatching:
 # --------------------------------------------------------------------- #
 # protocol + transports
 # --------------------------------------------------------------------- #
+class _Answer(Exception):
+    """A stub service's answer: a Python-level exception subclass, so
+    a test can hold a weak reference to it."""
+
+
+def _answer(slot):
+    slot.resolve(error=_Answer(f"answered {slot.request.id}"))
+
+
+def _solve_line(rid):
+    return json.dumps({"id": rid, "graph": "g", "seeds": [0, 1]})
+
+
+class _QueuedService:
+    """Stub service: ``submit`` queues each slot for the test to answer."""
+
+    def __init__(self):
+        self.slots: queue.Queue = queue.Queue()
+
+    def submit(self, request, on_done=None):
+        slot = _Pending(request, SolverConfig(), request.graph, on_done)
+        self.slots.put(slot)
+        return slot
+
+
 class TestProtocol:
     def run_lines(self, svc, lines):
         out = io.StringIO()
@@ -432,8 +463,8 @@ class TestProtocol:
         self, graph, config, error, names
     ):
         """A config override ``SolverConfig`` rejects — a ``machine``
-        that is not a MachineModel, the fault plan (a service argument,
-        not a config field), a string where a bool belongs, an unknown
+        that is not a MachineModel, an unknown field such as
+        ``fault_plan``, a string where a bool belongs, an unknown
         engine or backend name — is refused in the caller's thread; the
         batching worker never sees it, so a valid request batched right
         after it is still answered.  An unknown name is answered with
@@ -454,6 +485,84 @@ class TestProtocol:
             assert repr(name) in by_id["bad"]["error"]["message"]
         assert by_id["ok"]["ok"] is True
         assert drained is True
+
+    def test_handler_keeps_no_answered_slot(self):
+        """A solve the worker answers before ``submit`` returns leaves
+        nothing behind in the handler: its slot and result are freed."""
+        answers = []
+
+        class EagerService:
+            def submit(self, request, on_done=None):
+                slot = _Pending(request, SolverConfig(), request.graph, on_done)
+                answer = _Answer(f"answered {request.id}")
+                answers.append(weakref.ref(answer))
+                slot.resolve(error=answer)
+                return slot
+
+        out: list[str] = []
+        handler = ProtocolHandler(EagerService(), out.append)
+        for i in range(3):
+            handler.handle_line(_solve_line(f"s{i}"))
+        handler.drain(timeout=3)
+        gc.collect()
+        assert [json.loads(line)["id"] for line in out] == ["s0", "s1", "s2"]
+        assert all(ref() is None for ref in answers), "handler still holds resolved slots"
+
+    def test_drain_waits_for_late_answers(self):
+        """``drain`` returns only once every solve of the conversation
+        has been written, however late the worker answers."""
+        service = _QueuedService()
+        out: list[str] = []
+        handler = ProtocolHandler(service, out.append)
+        for rid in ("a", "b"):
+            handler.handle_line(_solve_line(rid))
+
+        def answer_late():
+            time.sleep(0.05)
+            while not service.slots.empty():
+                _answer(service.slots.get())
+
+        worker = threading.Thread(target=answer_late)
+        worker.start()
+        handler.drain(timeout=30)
+        written = sorted(json.loads(line)["id"] for line in out)
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert written == ["a", "b"]
+
+    def test_inflight_count_holds_under_concurrent_answers(self):
+        """Four threads answer 400 solves while the reader submits more,
+        with a short switch interval: after ``drain`` every response is
+        written and the count is back at zero, which a lost update to
+        the count would break."""
+        n = 400
+        service = _QueuedService()
+        out: list[str] = []
+        handler = ProtocolHandler(service, out.append)
+
+        def answer_all():
+            while (slot := service.slots.get()) is not None:
+                _answer(slot)
+
+        workers = [threading.Thread(target=answer_all) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for i in range(n):
+                handler.handle_line(_solve_line(f"s{i}"))
+            handler.drain(timeout=30)
+            n_written = len(out)
+        finally:
+            for _ in workers:
+                service.slots.put(None)
+            for worker in workers:
+                worker.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert n_written == n
+        assert handler._inflight == 0
 
     def test_handler_graphs_op(self, graph):
         svc = make_service(graph)
