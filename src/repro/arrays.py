@@ -5,6 +5,14 @@ set, which is several times slower than one ``np.sort`` plus an
 adjacent-compare mask on the arrays the solve path deduplicates (halo
 keys, bucket frontiers, walk targets).  These helpers are that sort,
 written once.
+
+For the same reason the solve path compacts arrays by index, not by
+boolean mask: ``idx = np.flatnonzero(mask)`` once, then ``x[idx]`` for
+each array.  Every ``x[mask]`` scans the whole mask again, while an
+index take visits only the kept positions.  Compacting three
+100k-element int64 arrays under a random 50% mask took 2.9-3.1 ms by
+mask and 1.3 ms by index, the ``np.flatnonzero`` included (NumPy 2.4.6,
+2-CPU shared VM).
 """
 
 from __future__ import annotations

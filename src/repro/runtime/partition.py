@@ -68,6 +68,10 @@ class PartitionedGraph:
             raise PartitionError("owner rank out of range")
         self._is_delegate = np.zeros(self.graph.n_vertices, dtype=bool)
         self._is_delegate[self.delegates] = True
+        self._arc_count = np.bincount(self.arc_rank, minlength=self.n_ranks).astype(
+            np.int64, copy=False
+        )
+        self._arc_count.flags.writeable = False
 
     # ------------------------------------------------------------------ #
     def rank_of(self, v: int) -> int:
@@ -87,8 +91,12 @@ class PartitionedGraph:
         return np.bincount(self.owner, minlength=self.n_ranks).astype(np.int64)
 
     def local_arc_count(self) -> np.ndarray:
-        """``int64[n_ranks]`` arcs held per rank (edge-centric load)."""
-        return np.bincount(self.arc_rank, minlength=self.n_ranks).astype(np.int64)
+        """``int64[n_ranks]`` arcs held per rank (edge-centric load).
+
+        Counted once when the partition is built and returned read-only,
+        so a caller that wants to modify it must copy.
+        """
+        return self._arc_count
 
     def arc_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """All arcs as ``(u, v, w, holding_rank)`` — the substrate for

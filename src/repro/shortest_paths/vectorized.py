@@ -125,7 +125,9 @@ def adopt_lexmin(
     >>> dist.tolist(), src.tolist()
     ([0, 5, 3], [0, 1, 2])
     """
-    better = (nd < dist[heads]) | ((nd == dist[heads]) & (owner < src[heads]))
+    better = np.flatnonzero(
+        (nd < dist[heads]) | ((nd == dist[heads]) & (owner < src[heads]))
+    )
     # rebinding frees the unfiltered arrays when the caller passed temporaries
     heads, nd, owner = heads[better], nd[better], owner[better]
     if heads.size == 0:
@@ -217,10 +219,10 @@ def compute_voronoi_cells_delta_numpy(
             pending[in_bucket] = False
             settled.append(in_bucket)
             arc_ids, tails = out_arcs(in_bucket, indptr, degrees)
-            keep = light[arc_ids]
-            _relax(
-                arc_ids[keep], tails[keep], indices, weights, dist, src, pending
-            )
+            keep = np.flatnonzero(light[arc_ids])
+            # rebinding frees the whole out-arc lists before the relaxation
+            arc_ids, tails = arc_ids[keep], tails[keep]
+            _relax(arc_ids, tails, indices, weights, dist, src, pending)
             pending_ids = np.nonzero(pending)[0]
 
         # heavy-edge phase: once, from the vertices that settled in b
@@ -228,10 +230,9 @@ def compute_voronoi_cells_delta_numpy(
         if settled_arr is not None:
             settled_arr = settled_arr[dist[settled_arr] // delta == b]
             arc_ids, tails = out_arcs(settled_arr, indptr, degrees)
-            keep = ~light[arc_ids]
-            _relax(
-                arc_ids[keep], tails[keep], indices, weights, dist, src, pending
-            )
+            keep = np.flatnonzero(~light[arc_ids])
+            arc_ids, tails = arc_ids[keep], tails[keep]
+            _relax(arc_ids, tails, indices, weights, dist, src, pending)
 
     pred = canonicalize_predecessors(graph, src, dist)
     return VoronoiDiagram(seeds=seeds_arr, src=src, pred=pred, dist=dist)

@@ -166,19 +166,31 @@ def canonicalize_predecessors(
     in-neighbour (the one its final state was adopted from), distances
     strictly decrease along the chain (weights are positive), and the
     chain terminates at the cell's seed — so the canonical ``pred`` is a
-    valid shortest-path in-forest.  Fully vectorised (one pass over the
-    arc arrays).
+    valid shortest-path in-forest.
+
+    Fully vectorised: one mask over all arcs ``u -> v`` (tail ``u``,
+    head ``v``, so no symmetric CSR is assumed) marks the tight
+    same-cell in-arcs of the reached non-seed heads, one
+    ``np.flatnonzero`` compacts them, and ``np.minimum.at`` keeps each
+    head's smallest tail.  The mask compares ``dist[u]`` with
+    ``dist[v] - d(u, v)`` rather than ``dist[u] + d(u, v)`` with
+    ``dist[v]``: for a reached head the difference stays inside int64,
+    and it can never equal the :data:`INF` of an unreached tail, so the
+    mask needs no test on ``dist[u]``.
     """
     n = graph.n_vertices
     u_arr = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
     v_arr = graph.indices
-    w_arr = graph.weights
-    ok = (dist[u_arr] != INF) & (dist[v_arr] != INF) & (dist[v_arr] > 0)
-    u_ok, v_ok, w_ok = u_arr[ok], v_arr[ok], w_arr[ok]
-    tight = (src[u_ok] == src[v_ok]) & (dist[u_ok] + w_ok == dist[v_ok])
+    dist_v = dist[v_arr]
+    tight = np.flatnonzero(
+        (dist_v > 0)
+        & (dist_v != INF)
+        & (src[u_arr] == src[v_arr])
+        & (dist[u_arr] == dist_v - graph.weights)
+    )
     pred = np.full(n, NO_VERTEX, dtype=np.int64)
     tmp = np.full(n, n, dtype=np.int64)  # sentinel: n is > any vertex id
-    np.minimum.at(tmp, v_ok[tight], u_ok[tight])
+    np.minimum.at(tmp, v_arr[tight], u_arr[tight])
     chosen = tmp < n
     pred[chosen] = tmp[chosen]
     return pred

@@ -2,15 +2,19 @@
 
 Each kernel is checked against the plain formulation it replaced, kept
 here as the reference: the binary-heap Prim, the four-key ``lexsort``
-distance-graph build, the per-row ``dict`` seed lookup and the
-``np.unique`` halo census.  Inputs are tie-heavy on purpose (weights in
+distance-graph build, the per-row ``dict`` seed lookup, the
+``np.unique`` halo census and a Python loop over the arcs for the
+canonical predecessors.  Inputs are tie-heavy on purpose (weights in
 {1, 2, 3}, parallel edges, self-loops, isolated vertices, forests):
-ties are where an array rewrite drifts from the reference.
+ties are where an array rewrite drifts from the reference.  Where a
+kernel picks between a dense table and a sort by input size, fixed
+cases pin each side, and each asserts the side it takes.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import os
 import subprocess
 import sys
@@ -23,7 +27,8 @@ from hypothesis import strategies as st
 
 from repro.arrays import sorted_unique
 from repro.core.distance_graph import (
-    DistanceGraph,
+    HALO_MARK_RATIO,
+    PAIR_TABLE_RATIO,
     build_distance_graph,
     local_min_edge_costs,
 )
@@ -34,7 +39,12 @@ from repro.graph.weights import assign_uniform_weights
 from repro.mst.prim import prim_mst
 from repro.runtime.cost_model import MachineModel
 from repro.runtime.partition import block_partition, hash_partition
-from repro.shortest_paths.voronoi import NO_VERTEX, compute_voronoi_cells
+from repro.shortest_paths.voronoi import (
+    INF,
+    NO_VERTEX,
+    canonicalize_predecessors,
+    compute_voronoi_cells,
+)
 from tests.conftest import component_seeds
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -97,6 +107,37 @@ def lexsort_distance_graph(graph, src, dist):
     return s_arr[pick], t_arr[pick], bu[pick], bv[pick], d_arr[pick]
 
 
+def cross_edge_count(graph, src):
+    """Edges whose endpoints lie in two different cells."""
+    eu, ev, _ = graph.edge_array()
+    su, sv = src[eu], src[ev]
+    return int(((su != sv) & (su != NO_VERTEX) & (sv != NO_VERTEX)).sum())
+
+
+def halo_record_count(partition):
+    """Halo records before deduplication: one per arc endpoint whose
+    state lives off the arc's holding rank."""
+    u, v, _, arc_rank = partition.arc_arrays()
+    owner = partition.owner
+    return int((arc_rank != owner[v]).sum() + (arc_rank != owner[u]).sum())
+
+
+def tight_arc_loop_pred(graph, src, dist):
+    """Per vertex, the smallest tail of a tight same-cell in-arc, by a
+    Python loop over every arc ``u -> v``."""
+    n = graph.n_vertices
+    pred = [int(NO_VERTEX)] * n
+    for u in range(n):
+        for i in range(int(graph.indptr[u]), int(graph.indptr[u + 1])):
+            v, w = int(graph.indices[i]), int(graph.weights[i])
+            if dist[v] == INF or dist[v] == 0:  # unreached head, or a seed
+                continue
+            if src[u] == src[v] and int(dist[u]) + w == int(dist[v]):
+                if pred[v] == NO_VERTEX or u < pred[v]:
+                    pred[v] = u
+    return np.asarray(pred, dtype=np.int64)
+
+
 def unique_halo_census(partition, machine):
     """The ``np.unique`` cost model."""
     u, v, _, arc_rank = partition.arc_arrays()
@@ -142,12 +183,16 @@ def multigraph_edges(draw, max_vertices=16, max_edges=48):
 
 @st.composite
 def tie_heavy_graph_and_seeds(draw):
-    """A simple graph with weights in {1, 2, 3} (possibly disconnected)
-    and a seed set, so cells tie often and some stay unreached."""
+    """A graph with weights in {1, 2, 3} (possibly disconnected, and
+    possibly keeping its parallel edges and self-loops) and a seed set,
+    so cells tie often and some stay unreached."""
     n, src, dst, w = draw(multigraph_edges(max_vertices=20, max_edges=60))
     n = max(n, 1)
     edges = np.stack([src, dst], axis=1) if src.size else np.zeros((0, 2), np.int64)
-    g = CSRGraph.from_edges(n, edges, w)
+    if draw(st.booleans()):
+        g = CSRGraph.from_edges(n, edges, w, drop_self_loops=False, dedupe="keep")
+    else:
+        g = CSRGraph.from_edges(n, edges, w)
     seeds = draw(
         st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 6), unique=True)
     )
@@ -198,36 +243,63 @@ class TestDistanceGraphOracle:
             assert a.dtype == np.int64
             assert np.array_equal(a, b)
 
+    # k = 30 has 6,453 cross edges (k**2 = 900) and reduces on the pair
+    # table; k = 300 has 8,521 (k**2 = 90,000) and sorts
+    @pytest.mark.parametrize("k, pair_table", [(30, True), (300, False)])
+    def test_equals_lexsort_build_on_each_side_of_the_size_rule(self, k, pair_table):
+        g = assign_uniform_weights(rmat_graph(11, 6, seed=3), (1, 100), seed=4)
+        seeds = component_seeds(g, k, seed=k)
+        vd = compute_voronoi_cells(g, seeds)
+        assert (k * k <= PAIR_TABLE_RATIO * cross_edge_count(g, vd.src)) == pair_table
+        ref = lexsort_distance_graph(g, vd.src, vd.dist)
+        # a caller's seed order moves the indices, never the rows
+        shuffled = np.random.default_rng(k).permutation(seeds)
+        for order in (seeds, shuffled):
+            dg = build_distance_graph(g, order, vd.src, vd.dist)
+            for a, b in zip((dg.cell_s, dg.cell_t, dg.u, dg.v, dg.dprime), ref):
+                assert np.array_equal(a, b)
+            si, ti = dg.seed_indices()
+            assert np.array_equal(order[si], dg.cell_s)
+            assert np.array_equal(order[ti], dg.cell_t)
+
 
 class TestSeedIndices:
+    """The build's seed indices, on hand-made ``src`` arrays over a
+    cycle with chords: positions in the caller's seed order."""
+
     @staticmethod
-    def _dg(seeds, cell_s, cell_t):
-        arr = lambda xs: np.asarray(xs, dtype=np.int64)
-        empty = arr([0] * len(cell_s))
-        return DistanceGraph(arr(seeds), arr(cell_s), arr(cell_t), empty, empty, empty)
+    def _build(seeds, src):
+        n = len(src)
+        edges = [(i, (i + 1) % n) for i in range(n)] + [(i, (i + 5) % n) for i in range(n)]
+        g = CSRGraph.from_edges(n, edges, [1, 2] * n)
+        src = np.asarray(src, dtype=np.int64)
+        return build_distance_graph(
+            g, np.asarray(seeds, dtype=np.int64), src, np.zeros(n, dtype=np.int64)
+        )
 
     @ORACLE
     @given(st.data())
     def test_equals_dict_lookup(self, data):
         seeds = data.draw(st.lists(st.integers(0, 30), min_size=1, max_size=8))
-        cells = st.lists(st.sampled_from(seeds), max_size=12)
-        cell_s = data.draw(cells)
-        cell_t = data.draw(st.lists(st.sampled_from(seeds), min_size=len(cell_s),
-                                    max_size=len(cell_s)))
+        src = data.draw(st.lists(st.sampled_from([*seeds, -1]), min_size=31, max_size=31))
         lookup = {s: i for i, s in enumerate(seeds)}
-        si, ti = self._dg(seeds, cell_s, cell_t).seed_indices()
-        assert si.tolist() == [lookup[s] for s in cell_s]
-        assert ti.tolist() == [lookup[t] for t in cell_t]
+        dg = self._build(seeds, src)
+        si, ti = dg.seed_indices()
+        assert si.tolist() == [lookup[s] for s in dg.cell_s.tolist()]
+        assert ti.tolist() == [lookup[t] for t in dg.cell_t.tolist()]
 
     @pytest.mark.parametrize("seeds", [[2, 5, 9], [9, 2, 5]])
     @pytest.mark.parametrize("bad", [0, 4, 10])
     def test_raises_on_a_cell_that_is_not_a_seed(self, seeds, bad):
-        with pytest.raises(KeyError):
-            self._dg(seeds, [2, 5], [9, bad]).seed_indices()
+        src = [2, 2, 5, 5, -1, 9, bad, 9, 5, 2, 9, 5]
+        with pytest.raises(KeyError) as err:
+            self._build(seeds, src)
+        assert err.value.args == (bad,)
 
     def test_raises_without_seeds(self):
-        with pytest.raises(KeyError):
-            self._dg([], [1], [2]).seed_indices()
+        with pytest.raises(KeyError) as err:
+            self._build([], [-1, 1, 2, 1])
+        assert err.value.args == (1,)
 
 
 class TestHaloCensusOracle:
@@ -237,15 +309,41 @@ class TestHaloCensusOracle:
             12, np.asarray([(0, 1), (1, 2), (5, 6), (9, 10)]), [1, 2, 3, 1]
         ),
     }
+    PARTITIONS = [block_partition, hash_partition]
+    RANKS = [1, 4, 16, 64]
+    DELEGATES = [None, 3]
 
     @pytest.mark.parametrize("graph", sorted(GRAPHS))
-    @pytest.mark.parametrize("partition", [block_partition, hash_partition])
-    @pytest.mark.parametrize("n_ranks", [1, 4, 16, 64])
-    @pytest.mark.parametrize("delegates", [None, 3])
+    @pytest.mark.parametrize("partition", PARTITIONS)
+    @pytest.mark.parametrize("n_ranks", RANKS)
+    @pytest.mark.parametrize("delegates", DELEGATES)
     def test_equals_np_unique_census(self, graph, partition, n_ranks, delegates):
         part = partition(self.GRAPHS[graph](), n_ranks, delegate_threshold=delegates)
         machine = MachineModel()
         assert local_min_edge_costs(part, machine) == unique_halo_census(part, machine)
+
+    def test_cases_cover_both_sides_of_the_size_rule(self):
+        # rmat at P >= 4 takes the dense mark; P = 1 and most forest
+        # cases sort
+        sides = set()
+        for graph, partition, n_ranks, delegates in itertools.product(
+            self.GRAPHS, self.PARTITIONS, self.RANKS, self.DELEGATES
+        ):
+            part = partition(self.GRAPHS[graph](), n_ranks, delegate_threshold=delegates)
+            n_keys = part.graph.n_vertices * n_ranks
+            sides.add(n_keys <= HALO_MARK_RATIO * halo_record_count(part))
+        assert sides == {True, False}
+
+
+class TestCanonicalPredecessorOracle:
+    @ORACLE
+    @given(tie_heavy_graph_and_seeds())
+    def test_equals_tight_arc_loop(self, case):
+        g, seeds = case
+        vd = compute_voronoi_cells(g, seeds)
+        pred = canonicalize_predecessors(g, vd.src, vd.dist)
+        assert pred.dtype == np.int64
+        assert np.array_equal(pred, tight_arc_loop_pred(g, vd.src, vd.dist))
 
 
 class TestEdgeArrayMemo:

@@ -40,6 +40,17 @@ class TestPartitioning:
         u, v, w, arc_rank = part.arc_arrays()
         assert np.array_equal(arc_rank, part.owner[u])
 
+    @pytest.mark.parametrize("delegates", [None, 50])
+    def test_arc_count_is_counted_once_and_read_only(self, delegates):
+        g = rmat_graph(8, 8, seed=0)
+        part = block_partition(g, 4, delegate_threshold=delegates)
+        counts = part.local_arc_count()
+        assert counts is part.local_arc_count()
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, np.bincount(part.arc_rank, minlength=4))
+        with pytest.raises(ValueError):
+            counts[0] = 0
+
     def test_single_rank(self):
         g = grid_graph(4, 4)
         part = block_partition(g, 1)
