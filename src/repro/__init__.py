@@ -24,11 +24,9 @@ from repro.core import (
     DistributedSteinerSolver,
     SolverConfig,
     SteinerTreeResult,
-    distributed_steiner_tree,
     sequential_steiner_tree,
 )
 from repro.errors import (
-    ConvergenceError,
     DisconnectedSeedsError,
     GraphError,
     PartitionError,
@@ -59,7 +57,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "CSRGraph",
-    "ConvergenceError",
     "DisconnectedSeedsError",
     "DistributedSteinerSolver",
     "GraphError",
@@ -77,7 +74,6 @@ __all__ = [
     "approximation_error_pct",
     "approximation_ratio",
     "assign_uniform_weights",
-    "distributed_steiner_tree",
     "erdos_renyi_graph",
     "grid_graph",
     "preferential_attachment_graph",

@@ -121,23 +121,6 @@ class SolveRequest:
     deadline_ms: int | None = None
     schema_version: int = SCHEMA_VERSION
 
-    def to_payload(self) -> dict[str, Any]:
-        """Canonical JSON-safe dict form of this request."""
-        payload: dict[str, Any] = {
-            "schema_version": self.schema_version,
-            "id": self.id,
-            "op": self.op,
-        }
-        if self.graph is not None:
-            payload["graph"] = self.graph
-        if self.seeds:
-            payload["seeds"] = list(self.seeds)
-        if self.config:
-            payload["config"] = dict(self.config)
-        if self.deadline_ms is not None:
-            payload["deadline_ms"] = self.deadline_ms
-        return payload
-
 
 #: the top-level fields a request may carry
 _REQUEST_FIELDS = frozenset(f.name for f in fields(SolveRequest))
@@ -300,6 +283,30 @@ def error_payload(request_id: str | None, error: BaseException | str) -> dict[st
     }
 
 
+def _encode_default(obj: Any) -> Any:
+    """What :func:`dumps` hands :func:`json.dumps` for a value it cannot
+    encode itself: :func:`jsonable`'s conversion of NumPy scalars and
+    arrays, and of sets (sorted)."""
+    import numpy as np
+
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (set, frozenset)):
+        return sorted(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def dumps(payload: Mapping[str, Any]) -> str:
-    """Compact single-line JSON — the line-delimited protocol framing."""
-    return json.dumps(jsonable(dict(payload)), separators=(",", ":"))
+    """Compact single-line JSON — the line-delimited protocol framing.
+
+    :func:`response_payload` and :func:`error_payload` build their
+    envelopes JSON-safe, so the encoder converts a NumPy value or a set
+    only where it meets one instead of walking the payload again; on
+    such an envelope the line is byte-identical to encoding
+    ``jsonable(payload)``.
+    """
+    return json.dumps(dict(payload), separators=(",", ":"), default=_encode_default)

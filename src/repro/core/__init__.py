@@ -16,13 +16,12 @@ Two entry points compute the *same* tree (asserted by the test suite):
 from repro.core.config import SolverConfig
 from repro.core.result import SteinerTreeResult, PHASE_NAMES
 from repro.core.sequential import sequential_steiner_tree
-from repro.core.solver import DistributedSteinerSolver, distributed_steiner_tree
+from repro.core.solver import DistributedSteinerSolver
 
 __all__ = [
     "PHASE_NAMES",
     "DistributedSteinerSolver",
     "SolverConfig",
     "SteinerTreeResult",
-    "distributed_steiner_tree",
     "sequential_steiner_tree",
 ]

@@ -5,12 +5,11 @@ from __future__ import annotations
 import hashlib
 import json
 import operator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Any, Optional
 
 import numpy as np
 
-from repro.runtime.cost_model import MachineModel
 from repro.runtime.queues import QueueDiscipline
 
 __all__ = ["SolverConfig"]
@@ -20,7 +19,7 @@ __all__ = ["SolverConfig"]
 _BOOL_FIELDS = ("collect_diagram", "aggregate_remote_messages")
 #: integer fields that may also be ``None``; like ``n_ranks`` they are
 #: stored as ``int``, so a NumPy integer hashes like its value
-_OPTIONAL_INT_FIELDS = ("delegate_threshold", "max_events", "collective_chunk_elements")
+_OPTIONAL_INT_FIELDS = ("delegate_threshold", "collective_chunk_elements")
 
 
 def _as_int(name: str, value: Any) -> int:
@@ -37,6 +36,14 @@ def _as_int(name: str, value: Any) -> int:
 class SolverConfig:
     """Knobs of the distributed solver (paper §IV defaults).
 
+    Each field is an axis of the paper's evaluation: ranks (Fig. 3),
+    queue discipline (Figs. 5-7), delegates (§IV), chunked collectives
+    (§V-F) and aggregation, plus the engine or backend that runs them.
+    The graph is always split into equal-vertex-share blocks
+    (:func:`~repro.runtime.partition.block_partition`) and the cost
+    model always uses the default
+    :class:`~repro.runtime.cost_model.MachineModel`.
+
     The bool fields accept only ``bool`` (or ``np.bool_``) and the
     integer fields only integers (NumPy integers included, bools not);
     both are stored as plain Python values, and anything else raises
@@ -52,15 +59,9 @@ class SolverConfig:
         Pending-message scheduling: :attr:`QueueDiscipline.PRIORITY`
         (the paper's optimisation, default) or ``FIFO`` (HavoqGT default,
         the §V-C baseline).
-    partition:
-        ``"block"`` (contiguous equal-vertex ranges, paper default) or
-        ``"hash"``.
     delegate_threshold:
         Degree above which a vertex's adjacency is striped across ranks
         (HavoqGT vertex-cut).  ``None`` disables delegates.
-    machine:
-        Cost-model constants for the simulation; must be a
-        :class:`~repro.runtime.cost_model.MachineModel`.
     engine:
         Runtime engine the message-driven phases execute on — a key of
         :data:`repro.runtime.engines.ENGINES`: ``"async-heap"``
@@ -73,9 +74,6 @@ class SolverConfig:
     collect_diagram:
         Attach the full Voronoi diagram arrays to the result (useful for
         inspection/tests; costs O(|V|) memory in the result object).
-    max_events:
-        Optional hard cap on simulation events per phase (guards runaway
-        FIFO configurations in tests).
     collective_chunk_elements:
         When set, the ``EN`` allreduce runs in chunks of this many
         elements instead of one shot — the paper's §V-F memory/runtime
@@ -105,12 +103,9 @@ class SolverConfig:
 
     n_ranks: int = 16
     discipline: QueueDiscipline = QueueDiscipline.PRIORITY
-    partition: str = "block"
     delegate_threshold: Optional[int] = None
-    machine: MachineModel = field(default_factory=MachineModel)
     engine: str = "async-heap"
     collect_diagram: bool = False
-    max_events: Optional[int] = None
     collective_chunk_elements: Optional[int] = None
     aggregate_remote_messages: bool = False
     voronoi_backend: Optional[str] = None
@@ -128,19 +123,11 @@ class SolverConfig:
                 object.__setattr__(self, name, _as_int(name, value))
         if self.n_ranks < 1:
             raise ValueError("n_ranks must be >= 1")
-        if self.partition not in ("block", "hash"):
-            raise ValueError("partition must be 'block' or 'hash'")
         if (
             self.collective_chunk_elements is not None
             and self.collective_chunk_elements < 1
         ):
             raise ValueError("collective_chunk_elements must be >= 1")
-        if not isinstance(self.machine, MachineModel):
-            # fingerprint() flattens the model's dataclass fields, so a
-            # stray value would only fail later, far from its source
-            raise TypeError(
-                f"machine must be a MachineModel, got {type(self.machine).__name__}"
-            )
         object.__setattr__(self, "discipline", QueueDiscipline(self.discipline))
         from repro.runtime.engines import get_engine
 
@@ -163,11 +150,7 @@ class SolverConfig:
         material: dict[str, Any] = {}
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name == "machine":
-                value = {
-                    mf.name: getattr(value, mf.name) for mf in fields(value)
-                }
-            elif isinstance(value, QueueDiscipline):
+            if isinstance(value, QueueDiscipline):
                 value = value.value
             material[f.name] = value
         return material
@@ -179,10 +162,9 @@ class SolverConfig:
         key ``(graph_hash, frozenset(seeds), config_fingerprint)``: two
         configurations share a fingerprint iff a cached result computed
         under one is valid for the other.  Every dataclass field
-        participates.  The machine model is flattened into its
-        constants, values are canonicalised (enum -> value) and
+        participates.  Values are canonicalised (enum -> value) and
         serialised with sorted keys, so the digest is independent of
         field ordering and of dict-insertion order.
         """
-        blob = json.dumps(self.fingerprint_material(), sort_keys=True, default=str)
+        blob = json.dumps(self.fingerprint_material(), sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]

@@ -219,9 +219,11 @@ def local_min_edge_costs(
     u, v, _, arc_rank = partition.arc_arrays()
     owner, n_ranks = partition.owner, partition.n_ranks
     n = partition.graph.n_vertices
-    # halo records: state of x shipped to holding rank h, for x in {u, v}
+    # halo records: state of x shipped to holding rank h, for x in {u, v};
+    # an arc is held away from its tail u only where the partition
+    # striped it, which it found once when it was built
     remote_v = np.flatnonzero(arc_rank != owner[v])
-    remote_u = np.flatnonzero(arc_rank != owner[u])
+    remote_u = partition.off_owner_arcs()
     keys_v = v[remote_v] * np.int64(n_ranks) + arc_rank[remote_v]
     keys_u = u[remote_u] * np.int64(n_ranks) + arc_rank[remote_u]
     if n * n_ranks <= HALO_MARK_RATIO * (keys_v.size + keys_u.size):

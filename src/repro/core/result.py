@@ -114,58 +114,6 @@ class SteinerTreeResult:
             g.add_edge(int(u), int(v), weight=int(w))
         return g
 
-    def path_between(self, a: int, b: int) -> list[int]:
-        """The unique tree path between two tree vertices.
-
-        The analyst-facing query the paper's introduction motivates:
-        once the tree connecting the seed set exists, "how are these two
-        entities related *through* it?" is a path lookup.  Runs a BFS
-        over the tree's adjacency (trees have unique paths).
-
-        Raises ``KeyError`` if either vertex is not in the tree, or
-        ``ValueError`` if they are in different components (cannot
-        happen for a valid result, kept as a guard).
-        """
-        verts = {int(v) for v in self.vertices()}
-        if int(a) not in verts or int(b) not in verts:
-            missing = [v for v in (int(a), int(b)) if v not in verts]
-            raise KeyError(f"vertex/vertices not in tree: {missing}")
-        if a == b:
-            return [int(a)]
-        adj: dict[int, list[int]] = {}
-        for u, v, _ in self.edges:
-            adj.setdefault(int(u), []).append(int(v))
-            adj.setdefault(int(v), []).append(int(u))
-        # BFS from a to b
-        parent: dict[int, int] = {int(a): -1}
-        frontier = [int(a)]
-        while frontier and int(b) not in parent:
-            nxt: list[int] = []
-            for u in frontier:
-                for v in adj.get(u, ()):
-                    if v not in parent:
-                        parent[v] = u
-                        nxt.append(v)
-            frontier = nxt
-        if int(b) not in parent:
-            raise ValueError(f"no tree path between {a} and {b}")
-        path = [int(b)]
-        while path[-1] != int(a):
-            path.append(parent[path[-1]])
-        path.reverse()
-        return path
-
-    def path_distance(self, a: int, b: int) -> int:
-        """Total distance along the unique tree path ``a .. b``."""
-        path = self.path_between(a, b)
-        lookup = {
-            (int(u), int(v)): int(w) for u, v, w in self.edges
-        }
-        total = 0
-        for u, v in zip(path, path[1:]):
-            total += lookup[(min(u, v), max(u, v))]
-        return total
-
     def to_payload(self) -> dict[str, Any]:
         """The canonical JSON-safe dict form — the shared schema of
         :func:`repro.api.schema.result_payload` (``schema_version``,

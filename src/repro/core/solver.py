@@ -45,22 +45,25 @@ from repro.core.voronoi_visitor import VoronoiProgram
 from repro.errors import DisconnectedSeedsError
 from repro.mst.prim import prim_mst
 from repro.mst.union_find import UnionFind
+from repro.runtime.cost_model import MachineModel
 from repro.runtime.engine import PhaseStats
 from repro.runtime.engines import make_engine
 from repro.runtime.memory import estimate_memory
-from repro.runtime.partition import block_partition, hash_partition
+from repro.runtime.partition import block_partition
 from repro.seeds.selection import validate_seed_set
 from repro.shortest_paths.voronoi import (
     VoronoiDiagram,
     canonicalize_predecessors,
 )
 
-__all__ = ["DistributedSteinerSolver", "distributed_steiner_tree"]
+__all__ = ["DistributedSteinerSolver"]
 
 # collective element sizes (bytes): EN distance entries carry (d, u, v);
 # the pruning reduce carries (u, v) source-id pairs (paper Alg. 5).
 _EN_REDUCE_BYTES = 24
 _PRUNE_REDUCE_BYTES = 16
+#: the cost-model constants every solve is charged with
+_MACHINE = MachineModel()
 
 
 class DistributedSteinerSolver:
@@ -103,10 +106,7 @@ class DistributedSteinerSolver:
         self.graph = graph
         self.config = config if config is not None else SolverConfig(**config_kwargs)
         self.cache = cache
-        partition_fn = (
-            block_partition if self.config.partition == "block" else hash_partition
-        )
-        self.partition = partition_fn(
+        self.partition = block_partition(
             graph,
             self.config.n_ranks,
             delegate_threshold=self.config.delegate_threshold,
@@ -158,7 +158,7 @@ class DistributedSteinerSolver:
             If the seeds do not share a connected component.
         """
         cfg = self.config
-        machine = cfg.machine
+        machine = _MACHINE
         t0 = time.perf_counter()
         seeds_arr = validate_seed_set(self.graph, seeds)
         k = seeds_arr.size
@@ -219,8 +219,6 @@ class DistributedSteinerSolver:
                 PHASE_NAMES[0],
                 program,
                 list(program.initial_messages(seeds_arr)),
-                # 0 means uncapped, as it always has (falsy-guard legacy)
-                max_events=cfg.max_events or None,
             )
             src, dist = program.src, program.dist
             pred = canonicalize_predecessors(self.graph, src, dist)
@@ -366,9 +364,9 @@ class DistributedSteinerSolver:
 
         cfg = self.config
         if cfg.collective_chunk_elements is None:
-            return cfg.machine.allreduce_time(cfg.n_ranks, n_elements * elem_bytes)
+            return _MACHINE.allreduce_time(cfg.n_ranks, n_elements * elem_bytes)
         return chunked_allreduce_time(
-            cfg.machine,
+            _MACHINE,
             cfg.n_ranks,
             n_elements,
             cfg.collective_chunk_elements,
@@ -393,22 +391,3 @@ class DistributedSteinerSolver:
         root = uf.find(0)
         unreached = [int(seeds_arr[i]) for i in range(k) if uf.find(i) != root]
         raise DisconnectedSeedsError(unreached)
-
-
-def distributed_steiner_tree(
-    graph: "CSRGraph",
-    seeds: Sequence[int],
-    *,
-    config: SolverConfig | None = None,
-    cache: "SolveCache | None" = None,
-    **config_kwargs: Any,
-) -> SteinerTreeResult:
-    """One-shot convenience wrapper around
-    :class:`DistributedSteinerSolver`.
-
-    Configuration may be given as a ready :class:`SolverConfig` *or* as
-    keyword arguments in its field names.
-    """
-    return DistributedSteinerSolver(
-        graph, config, cache=cache, **config_kwargs
-    ).solve(seeds)

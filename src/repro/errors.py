@@ -43,9 +43,5 @@ class SimulationError(ReproError):
     """The discrete-event simulation reached an inconsistent state."""
 
 
-class ConvergenceError(ReproError):
-    """An iterative routine exceeded its iteration budget."""
-
-
 class ValidationError(ReproError):
     """An output artefact (tree, Voronoi diagram...) failed validation."""

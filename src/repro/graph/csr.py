@@ -52,6 +52,7 @@ class CSRGraph:
         "weights",
         "_n_vertices",
         "_content_hash",
+        "_arc_tails",
         "_edge_array",
         "_distance_bound",
     )
@@ -83,6 +84,7 @@ class CSRGraph:
         self.weights = weights
         self._n_vertices = indptr.size - 1
         self._content_hash: str | None = None
+        self._arc_tails: np.ndarray | None = None
         self._edge_array: Tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._distance_bound: int | None = None
 
@@ -96,7 +98,6 @@ class CSRGraph:
         edges: Iterable[Tuple[int, int]] | np.ndarray,
         weights: Iterable[int] | np.ndarray,
         *,
-        symmetrize: bool = True,
         drop_self_loops: bool = True,
         dedupe: str = "min",
     ) -> "CSRGraph":
@@ -111,9 +112,6 @@ class CSRGraph:
             ``(m, 2)`` array-like of endpoints.  Treated as undirected.
         weights:
             ``m`` positive integer edge distances.
-        symmetrize:
-            Materialise both directions (the library default; all
-            algorithms assume it).
         drop_self_loops:
             Silently discard ``(v, v)`` entries (they can never be part of
             a Steiner tree).
@@ -166,12 +164,10 @@ class CSRGraph:
             # lexsort put the min weight first within each duplicate group
             lo, hi, w_arr = lo[first], hi[first], w_arr[first]
 
-        if symmetrize:
-            src = np.concatenate([lo, hi])
-            dst = np.concatenate([hi, lo])
-            w2 = np.concatenate([w_arr, w_arr])
-        else:
-            src, dst, w2 = lo, hi, w_arr
+        # both directions of every edge, as all algorithms assume
+        src = np.concatenate([lo, hi])
+        dst = np.concatenate([hi, lo])
+        w2 = np.concatenate([w_arr, w_arr])
 
         order = np.lexsort((dst, src))
         src, dst, w2 = src[order], dst[order], w2[order]
@@ -180,18 +176,6 @@ class CSRGraph:
             counts = np.bincount(src, minlength=n_vertices)
             np.cumsum(counts, out=indptr[1:])
         return cls(indptr, dst, w2)
-
-    @classmethod
-    def from_networkx(cls, nx_graph, weight: str = "weight") -> "CSRGraph":
-        """Convert a :class:`networkx.Graph` with integer vertex labels
-        ``0..n-1`` and a positive integer ``weight`` attribute."""
-        n = nx_graph.number_of_nodes()
-        edges = []
-        weights = []
-        for u, v, data in nx_graph.edges(data=True):
-            edges.append((int(u), int(v)))
-            weights.append(int(data.get(weight, 1)))
-        return cls.from_edges(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2), weights)
 
     # ------------------------------------------------------------------ #
     # basic queries
@@ -251,6 +235,22 @@ class CSRGraph:
             raise GraphError(f"no edge ({u}, {v})")
         return int(self.neighbor_weights(u)[hit[0]])
 
+    def arc_tails(self) -> np.ndarray:
+        """``int64[2|E|]`` tail of every stored arc: arc ``i`` runs from
+        ``arc_tails()[i]`` to ``indices[i]``.
+
+        Memoised on the instance, like :meth:`edge_array`: built once per
+        graph object and returned read-only, so a caller that wants to
+        modify it must copy.
+        """
+        if self._arc_tails is None:
+            tails = np.repeat(
+                np.arange(self._n_vertices, dtype=np.int64), self.degree()
+            )
+            tails.flags.writeable = False
+            self._arc_tails = tails
+        return self._arc_tails
+
     def edge_array(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Unique undirected edges as ``(src, dst, weight)`` with
         ``src < dst`` — convenient for edge-centric vectorised scans.
@@ -260,9 +260,7 @@ class CSRGraph:
         caller that wants to modify them must copy.
         """
         if self._edge_array is None:
-            src = np.repeat(
-                np.arange(self._n_vertices, dtype=np.int64), self.degree()
-            )
+            src = self.arc_tails()
             keep = src < self.indices
             arrays = (src[keep], self.indices[keep], self.weights[keep])
             for arr in arrays:

@@ -22,17 +22,6 @@ class GraphStats:
     weight_max: int
     nbytes: int
 
-    def as_row(self) -> dict[str, object]:
-        """Dict form for table rendering."""
-        return {
-            "|V|": self.n_vertices,
-            "2|E|": self.n_arcs,
-            "Max. degree": self.max_degree,
-            "Avg. degree": round(self.avg_degree, 1),
-            "Edge weight": f"[{self.weight_min}, {self.weight_max}]",
-            "Size": self.nbytes,
-        }
-
 
 def graph_stats(graph: CSRGraph) -> GraphStats:
     """Compute the Table-III statistics for ``graph``."""

@@ -45,7 +45,7 @@ def run(quick: bool = False) -> ExperimentReport:
         render_table(
             ["seed s", "|N(s)|", "max dist in cell"],
             [
-                [s, sizes[int(s)], int(vd.dist[vd.cell(int(s))].max())]
+                [s, sizes[int(s)], int(vd.dist[vd.src == s].max())]
                 for s in seeds
             ],
             title="(a) Voronoi cells",

@@ -5,8 +5,9 @@ HavoqGT's asynchronous vertex-centric engine.  Neither MPI nor multiple
 cores are available in this environment, so this package provides a
 **deterministic discrete-event simulation (DES)** of that runtime:
 
-* :mod:`~repro.runtime.partition` — vertex block/hash partitioning with
-  optional high-degree *delegates* (HavoqGT's vertex-cut);
+* :mod:`~repro.runtime.partition` — equal-vertex-share block
+  partitioning with optional high-degree *delegates* (HavoqGT's
+  vertex-cut);
 * :mod:`~repro.runtime.queues` — per-rank FIFO and priority message
   queues (the paper's §IV message-prioritisation optimisation);
 * :mod:`~repro.runtime.cost_model` — the analytic machine model mapping
@@ -30,7 +31,7 @@ experiment is preserved.
 """
 
 from repro.runtime.cost_model import MachineModel
-from repro.runtime.partition import PartitionedGraph, block_partition, hash_partition
+from repro.runtime.partition import PartitionedGraph, block_partition
 from repro.runtime.queues import QueueDiscipline
 from repro.runtime.engine import (
     AsyncEngine,
@@ -58,6 +59,5 @@ __all__ = [
     "block_partition",
     "estimate_memory",
     "get_engine",
-    "hash_partition",
     "make_engine",
 ]

@@ -93,7 +93,3 @@ class MachineModel:
         if n_edges <= 0:
             return 0.0
         return self.t_mst_edge * n_edges * max(1.0, math.log2(max(2, n_vertices)))
-
-    def scan_time(self, n_arcs: int) -> float:
-        """Edge-centric scan of ``n_arcs`` local arcs."""
-        return self.t_edge_scan * n_arcs

@@ -37,7 +37,7 @@ from __future__ import annotations
 import heapq
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, List, Optional, Protocol, Tuple
+from typing import Any, Callable, Iterable, List, Protocol, Tuple
 
 import numpy as np
 
@@ -154,12 +154,6 @@ class PhaseStats:
         """Total message count (the Fig. 6 metric)."""
         return self.n_messages_local + self.n_messages_remote
 
-    def parallel_efficiency(self) -> float:
-        """Mean busy fraction across ranks during the phase."""
-        if self.sim_time <= 0 or self.busy_time.size == 0:
-            return 1.0
-        return float(self.busy_time.mean() / self.sim_time)
-
 
 class EngineBase(ABC):
     """State and helpers shared by every runtime engine in
@@ -198,8 +192,6 @@ class EngineBase(ABC):
         name: str,
         program: VertexProgram,
         initial_messages: Iterable[Tuple[int, Tuple]],
-        *,
-        max_events: Optional[int] = None,
     ) -> PhaseStats:
         """Run ``program`` to quiescence; returns and records the stats."""
 
@@ -228,8 +220,6 @@ class AsyncEngine(EngineBase):
         name: str,
         program: VertexProgram,
         initial_messages: Iterable[Tuple[int, Tuple]],
-        *,
-        max_events: Optional[int] = None,
     ) -> PhaseStats:
         """Run ``program`` to quiescence; returns and records the stats.
 
@@ -247,7 +237,7 @@ class AsyncEngine(EngineBase):
         remote_delay = machine.message_delay(False)
         msg_bytes = machine.bytes_per_message
         prio_fn = program.priority
-        limit = max_events if max_events is not None else self._max_events_guard
+        limit = self._max_events_guard
 
         stats = PhaseStats(name=name, busy_time=np.zeros(n_ranks))
         start = self.clock
@@ -368,15 +358,13 @@ class BSPEngine(EngineBase):
     """
 
     n_supersteps = 0  # supersteps of the last phase run
+    _max_supersteps_guard = 1_000_000  # hard runaway stop
 
     def run_phase(
         self,
         name: str,
         program: VertexProgram,
         initial_messages: Iterable[Tuple[int, Tuple]],
-        *,
-        max_events: Optional[int] = None,
-        max_supersteps: int = 1_000_000,
     ) -> PhaseStats:
         """Run ``program`` to quiescence in synchronous supersteps."""
         n_ranks = self.partition.n_ranks
@@ -387,15 +375,12 @@ class BSPEngine(EngineBase):
             inbox[rank].append(msg)
 
         supersteps = 0
-        events = 0
         total_time = 0.0
         while any(inbox):
             supersteps += 1
-            if supersteps > max_supersteps:
+            if supersteps > self._max_supersteps_guard:
                 raise SimulationError(f"BSP phase {name!r} did not converge")
-            inbox, step_time, events = self._superstep_scalar(
-                name, program, inbox, stats, events, max_events
-            )
+            inbox, step_time = self._superstep_scalar(program, inbox, stats)
             total_time += step_time
 
         stats.sim_time = total_time
@@ -407,14 +392,11 @@ class BSPEngine(EngineBase):
     # ------------------------------------------------------------------ #
     def _superstep_scalar(
         self,
-        name: str,
         program: VertexProgram,
         inbox: list[list[tuple[int, Tuple]]],
         stats: PhaseStats,
-        events: int,
-        max_events: Optional[int],
-    ) -> tuple[list[list[tuple[int, Tuple]]], float, int]:
-        """One per-message superstep; returns (outbox, step time, events).
+    ) -> tuple[list[list[tuple[int, Tuple]]], float]:
+        """One per-message superstep; returns (outbox, step time).
 
         This is the reference execution the batched engine must match
         message-for-message; it is also the fallback path for programs
@@ -443,11 +425,6 @@ class BSPEngine(EngineBase):
             if self.discipline is QueueDiscipline.PRIORITY:
                 msgs.sort(key=lambda m: key_fn(m[1]))
             for target, payload in msgs:
-                events += 1
-                if max_events is not None and events > max_events:
-                    raise SimulationError(
-                        f"phase {name!r} exceeded {max_events} events (runaway?)"
-                    )
                 emitted.clear()
                 dispatch_visit(program, target, payload, emit)
                 stats.n_visits += 1
@@ -468,4 +445,4 @@ class BSPEngine(EngineBase):
         step_time = float(step_rank_time.max()) if n_ranks else 0.0
         step_time += machine.allreduce_time(n_ranks, 8)  # barrier
         step_time += machine.message_delay(n_ranks > 1)  # delivery wave
-        return outbox, step_time, events
+        return outbox, step_time

@@ -128,9 +128,6 @@ class BSPBatchedEngine(BSPEngine):
         name: str,
         program: VertexProgram,
         initial_messages: Iterable[Tuple[int, Tuple]],
-        *,
-        max_events: Optional[int] = None,
-        max_supersteps: int = 1_000_000,
     ) -> PhaseStats:
         """Run ``program`` to quiescence in vectorised supersteps (falls
         back to the per-message loop for non-batchable programs or FIFO
@@ -139,13 +136,7 @@ class BSPBatchedEngine(BSPEngine):
             not supports_batch(program)
             or self.discipline is not QueueDiscipline.PRIORITY
         ):
-            return super().run_phase(
-                name,
-                program,
-                initial_messages,
-                max_events=max_events,
-                max_supersteps=max_supersteps,
-            )
+            return super().run_phase(name, program, initial_messages)
 
         machine = self.machine
         n_ranks = self.partition.n_ranks
@@ -175,17 +166,11 @@ class BSPBatchedEngine(BSPEngine):
             n_ranks > 1
         )
         supersteps = 0
-        events = 0
         total_time = 0.0
         while targets.size:
             supersteps += 1
-            if supersteps > max_supersteps:
+            if supersteps > self._max_supersteps_guard:
                 raise SimulationError(f"BSP phase {name!r} did not converge")
-            events += targets.size
-            if max_events is not None and events > max_events:
-                raise SimulationError(
-                    f"phase {name!r} exceeded {max_events} events (runaway?)"
-                )
             if targets.size > stats.peak_queue_total:
                 stats.peak_queue_total = int(targets.size)
             stats.n_visits += int(targets.size)

@@ -14,9 +14,11 @@ Every entry of :data:`ENGINES` is an
 ``cls(partition, machine=None, discipline=..., *, aggregate_remote=False)``
 — only the asynchronous engine reads ``aggregate_remote``, so one
 :func:`make_engine` call site serves all engines — and exposing
-``run_phase(name, program, initial_messages, *, max_events=None)``,
-which runs a :class:`~repro.runtime.engine.VertexProgram` to quiescence
-and returns a :class:`~repro.runtime.engine.PhaseStats`.  The shared
+``run_phase(name, program, initial_messages)``, which runs a
+:class:`~repro.runtime.engine.VertexProgram` to quiescence and returns a
+:class:`~repro.runtime.engine.PhaseStats`.  Each engine stops a runaway
+phase at a fixed bound of its own (``AsyncEngine._max_events_guard``
+events, ``BSPEngine._max_supersteps_guard`` supersteps).  The shared
 :class:`~repro.runtime.engine.EngineBase` state records each phase in
 ``phases`` and advances the simulated ``clock``.
 

@@ -8,7 +8,7 @@ graphs.
 
 :class:`PartitionedGraph` captures all of that:
 
-* an ``owner[v]`` map (block or hash assignment),
+* an ``owner[v]`` map (contiguous equal-vertex blocks),
 * per-rank local arc slices for edge-centric scans,
 * an optional delegate set (``degree > delegate_threshold``) whose arcs
   are striped round-robin over all ranks,
@@ -25,7 +25,7 @@ import numpy as np
 from repro.errors import PartitionError
 from repro.graph.csr import CSRGraph
 
-__all__ = ["PartitionedGraph", "block_partition", "hash_partition"]
+__all__ = ["PartitionedGraph", "block_partition"]
 
 
 @dataclass
@@ -72,12 +72,11 @@ class PartitionedGraph:
             np.int64, copy=False
         )
         self._arc_count.flags.writeable = False
+        tails = self.graph.arc_tails()
+        self._off_owner_arcs = np.flatnonzero(self.arc_rank != self.owner[tails])
+        self._off_owner_arcs.flags.writeable = False
 
     # ------------------------------------------------------------------ #
-    def rank_of(self, v: int) -> int:
-        """Rank owning vertex ``v``'s state."""
-        return int(self.owner[v])
-
     def is_delegate(self, v: int) -> bool:
         """True iff ``v``'s adjacency is striped across ranks."""
         return bool(self._is_delegate[v])
@@ -85,10 +84,6 @@ class PartitionedGraph:
     def delegate_mask(self, vertices: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`is_delegate` (used by the batched engine)."""
         return self._is_delegate[vertices]
-
-    def local_vertex_count(self) -> np.ndarray:
-        """``int64[n_ranks]`` vertices owned per rank."""
-        return np.bincount(self.owner, minlength=self.n_ranks).astype(np.int64)
 
     def local_arc_count(self) -> np.ndarray:
         """``int64[n_ranks]`` arcs held per rank (edge-centric load).
@@ -98,18 +93,22 @@ class PartitionedGraph:
         """
         return self._arc_count
 
+    def off_owner_arcs(self) -> np.ndarray:
+        """Ascending indices of the arcs held by a rank that does not own
+        their tail — under :func:`block_partition`, only delegate arcs,
+        whose striping may move them off their tail's rank.
+
+        Found once when the partition is built and returned read-only,
+        so a caller that wants to modify it must copy.
+        """
+        return self._off_owner_arcs
+
     def arc_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """All arcs as ``(u, v, w, holding_rank)`` — the substrate for
-        vectorised edge-centric phases (Alg. 5)."""
+        vectorised edge-centric phases (Alg. 5).  Every array is the
+        graph's or the partition's own, read-only tails included."""
         g = self.graph
-        u = np.repeat(np.arange(g.n_vertices, dtype=np.int64), np.diff(g.indptr))
-        return u, g.indices, g.weights, self.arc_rank
-
-    def cut_arc_count(self) -> int:
-        """Arcs whose endpoint states live on different ranks — the
-        communication volume proxy for halo exchanges."""
-        u, v, _, _ = self.arc_arrays()
-        return int((self.owner[u] != self.owner[v]).sum())
+        return g.arc_tails(), g.indices, g.weights, self.arc_rank
 
     def slice_ranks(self, v: int) -> np.ndarray:
         """Ranks holding at least one arc of ``v`` (for delegates this is
@@ -155,29 +154,6 @@ def block_partition(
         raise PartitionError("need at least one rank")
     n = graph.n_vertices
     owner = (np.arange(n, dtype=np.int64) * n_ranks) // max(n, 1)
-    arc_rank = np.repeat(owner, np.diff(graph.indptr))
-    delegates = _pick_delegates(graph, delegate_threshold)
-    _stripe_delegate_arcs(graph, arc_rank, delegates, n_ranks)
-    return PartitionedGraph(graph, n_ranks, owner, arc_rank, delegates)
-
-
-def hash_partition(
-    graph: CSRGraph,
-    n_ranks: int,
-    *,
-    delegate_threshold: Optional[int] = None,
-) -> PartitionedGraph:
-    """Pseudo-random ownership (multiplicative hash of the vertex id).
-
-    Destroys id-locality, trading a larger edge cut for better expected
-    balance — the usual alternative baseline to block partitioning.
-    """
-    if n_ranks < 1:
-        raise PartitionError("need at least one rank")
-    n = graph.n_vertices
-    ids = np.arange(n, dtype=np.uint64)
-    mixed = (ids * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)
-    owner = (mixed % np.uint64(n_ranks)).astype(np.int64)
     arc_rank = np.repeat(owner, np.diff(graph.indptr))
     delegates = _pick_delegates(graph, delegate_threshold)
     _stripe_delegate_arcs(graph, arc_rank, delegates, n_ranks)

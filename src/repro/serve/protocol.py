@@ -9,7 +9,7 @@ Robustness contract: a malformed line (bad JSON, unknown op, missing
 fields) produces an ``ok: false`` error envelope on the output stream
 and the connection stays up; only EOF or an explicit ``shutdown`` op
 ends the conversation.  Line length is bounded
-(:data:`MAX_LINE_BYTES`, overridable per handler): an oversized frame
+(:data:`MAX_LINE_BYTES`): an oversized frame
 is answered with a structured ``oversized`` error and the rest of the
 line is discarded without ever being buffered — a misbehaving client
 cannot balloon server memory.  A transport that dies mid-read
@@ -78,9 +78,10 @@ class ProtocolHandler:
         Invoked once when this conversation sees a ``shutdown`` op
         (after the acknowledgement is written); the transport uses it
         to stop its accept loop.
-    max_line_bytes:
-        Request-line bound for :meth:`handle_line` (and advertised to
-        transports that enforce it during the read itself).
+
+    :meth:`handle_line` refuses a line longer than
+    :data:`MAX_LINE_BYTES`; byte-counting transports enforce the same
+    bound during the read itself.
     """
 
     def __init__(
@@ -89,12 +90,8 @@ class ProtocolHandler:
         write: Callable[[str], None],
         *,
         on_shutdown: Callable[[], None] | None = None,
-        max_line_bytes: int = MAX_LINE_BYTES,
     ) -> None:
-        if max_line_bytes < 1:
-            raise ValueError("max_line_bytes must be >= 1")
         self.service = service
-        self.max_line_bytes = max_line_bytes
         self._write = write
         self._on_shutdown = on_shutdown
         self._write_lock = threading.Lock()
@@ -114,13 +111,13 @@ class ProtocolHandler:
         """Answer an oversized frame a transport refused to buffer (the
         structured ``oversized`` error; the conversation stays up)."""
         self.send(
-            error_payload(None, OversizedLineError(self.max_line_bytes))
+            error_payload(None, OversizedLineError(MAX_LINE_BYTES))
         )
 
     def handle_line(self, line: str) -> bool:
         """Process one request line; returns ``False`` when the
         conversation should end (``shutdown``), ``True`` otherwise."""
-        if len(line) > self.max_line_bytes:
+        if len(line) > MAX_LINE_BYTES:
             # byte-counting transports never get here (they bound the
             # read itself); string callers get the same structured error
             self.reject_oversized()

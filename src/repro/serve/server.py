@@ -28,7 +28,7 @@ import sys
 import threading
 from typing import IO
 
-from repro.serve.protocol import ProtocolHandler
+from repro.serve.protocol import MAX_LINE_BYTES, ProtocolHandler
 from repro.serve.service import SolverService
 
 __all__ = ["make_tcp_server", "serve_stdio"]
@@ -81,7 +81,7 @@ class _Handler(socketserver.StreamRequestHandler):
         handler = ProtocolHandler(
             server.service, write, on_shutdown=server.request_shutdown
         )
-        limit = handler.max_line_bytes
+        limit = MAX_LINE_BYTES
         try:
             while True:
                 # bounded read: at most limit+1 bytes are ever buffered

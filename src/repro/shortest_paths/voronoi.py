@@ -67,10 +67,6 @@ class VoronoiDiagram:
     pred: np.ndarray
     dist: np.ndarray
 
-    def cell(self, seed: int) -> np.ndarray:
-        """Vertex ids of ``N(seed)``."""
-        return np.nonzero(self.src == seed)[0].astype(np.int64)
-
     def cell_sizes(self) -> dict[int, int]:
         """``{seed: |N(seed)|}`` for all seeds."""
         return {int(s): int((self.src == s).sum()) for s in self.seeds}
@@ -179,7 +175,7 @@ def canonicalize_predecessors(
     mask needs no test on ``dist[u]``.
     """
     n = graph.n_vertices
-    u_arr = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
+    u_arr = graph.arc_tails()
     v_arr = graph.indices
     dist_v = dist[v_arr]
     tight = np.flatnonzero(

@@ -115,12 +115,11 @@ def validate_voronoi_diagram(graph: CSRGraph, vd: VoronoiDiagram) -> None:
        distance (hence acyclic, ending at the seed).
     """
     src, pred, dist = vd.src, vd.pred, vd.dist
-    n = graph.n_vertices
     for s in vd.seeds:
         if src[s] != s or dist[s] != 0:
             raise ValidationError(f"seed {s} does not own itself at distance 0")
 
-    u_arr = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
+    u_arr = graph.arc_tails()
     v_arr, w_arr = graph.indices, graph.weights
     both = (dist[u_arr] != INF) & (dist[v_arr] != INF)
     # 2a. no improving edge: dist[v] <= dist[u] + w for all edges

@@ -14,6 +14,7 @@ from repro.graph.generators import (
     rmat_graph,
 )
 from repro.graph.weights import assign_uniform_weights
+from repro.runtime.partition import PartitionedGraph, block_partition
 
 
 def make_connected_graph(
@@ -69,6 +70,22 @@ def packed_key_guard(n: int) -> int:
     """Largest distance the packed ``dist * n + owner`` key holds on an
     ``n``-vertex graph; the reduction sorts past it."""
     return (int(np.iinfo(np.int64).max) - n) // n
+
+
+def hash_partition(
+    graph: CSRGraph, n_ranks: int, *, delegate_threshold: int | None = None
+) -> PartitionedGraph:
+    """A partition with scattered ownership, for the parity and census
+    tests: a multiplicative hash of the vertex id picks each vertex's
+    rank, each arc is held by its tail's owner, and the delegates keep
+    the round-robin striping :func:`block_partition` gives them."""
+    block = block_partition(graph, n_ranks, delegate_threshold=delegate_threshold)
+    ids = np.arange(graph.n_vertices, dtype=np.uint64)
+    mixed = (ids * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)
+    owner = (mixed % np.uint64(n_ranks)).astype(np.int64)
+    tails = graph.arc_tails()
+    arc_rank = np.where(block.delegate_mask(tails), block.arc_rank, owner[tails])
+    return PartitionedGraph(graph, n_ranks, owner, arc_rank, block.delegates)
 
 
 @pytest.fixture

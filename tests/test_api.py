@@ -20,8 +20,7 @@ import repro.api as api
 from repro.api import Session, SolverConfig, solve
 from repro.baselines.mehlhorn import mehlhorn_steiner_tree
 from repro.core.sequential import sequential_steiner_tree
-from repro.core.solver import distributed_steiner_tree
-from repro.runtime.cost_model import MachineModel
+from repro.core.solver import DistributedSteinerSolver
 from repro.shortest_paths.voronoi import compute_voronoi_cells
 
 from tests.conftest import component_seeds
@@ -37,7 +36,7 @@ class TestSolveFacade:
     def test_matches_core_entry_point(self, random_graph):
         seeds = component_seeds(random_graph, 5, seed=3)
         via_api = solve(random_graph, seeds, n_ranks=4)
-        via_core = distributed_steiner_tree(random_graph, seeds, n_ranks=4)
+        via_core = DistributedSteinerSolver(random_graph, n_ranks=4).solve(seeds)
         assert np.array_equal(via_api.edges, via_core.edges)
         assert via_api.total_distance == via_core.total_distance
 
@@ -112,12 +111,9 @@ class TestSession:
 _DISTINGUISHING = {
     "n_ranks": 5,
     "discipline": "fifo",
-    "partition": "hash",
     "delegate_threshold": 7,
-    "machine": MachineModel(t_visit=3.0e-7),
     "engine": "bsp",
     "collect_diagram": True,
-    "max_events": 1000,
     "collective_chunk_elements": 500,
     "aggregate_remote_messages": True,
     "voronoi_backend": "delta-numpy",
@@ -151,6 +147,18 @@ class TestConfigFingerprint:
             **{field_name: _DISTINGUISHING[field_name]}
         )
         assert base.fingerprint() != changed.fingerprint(), field_name
+
+    def test_fields_are_the_evaluation_axes(self):
+        assert _FIELD_NAMES == [
+            "n_ranks",
+            "discipline",
+            "delegate_threshold",
+            "engine",
+            "collect_diagram",
+            "collective_chunk_elements",
+            "aggregate_remote_messages",
+            "voronoi_backend",
+        ]
 
     def test_material_covers_every_field(self):
         assert sorted(SolverConfig().fingerprint_material()) == sorted(_FIELD_NAMES)
@@ -189,7 +197,7 @@ class TestConfigTypes:
             ("collect_diagram", "no"),
             ("n_ranks", True),
             ("n_ranks", 4.0),
-            ("max_events", "3"),
+            ("collective_chunk_elements", "3"),
             ("delegate_threshold", np.bool_(True)),
         ],
         ids=str,
@@ -201,22 +209,25 @@ class TestConfigTypes:
     def test_numpy_values_stored_as_python(self):
         config = SolverConfig(
             n_ranks=np.int64(4),
-            max_events=np.int32(0),
+            collective_chunk_elements=np.int32(7),
             aggregate_remote_messages=np.bool_(True),
         )
         assert type(config.n_ranks) is int and config.n_ranks == 4
-        assert type(config.max_events) is int and config.max_events == 0
+        assert type(config.collective_chunk_elements) is int
+        assert config.collective_chunk_elements == 7
         assert config.aggregate_remote_messages is True
 
 
 class TestOneSpellingPerOption:
     """Each option has exactly one spelling: the old keyword aliases,
     the ``bsp`` flag and the ``backend=`` side doors are rejected, and
-    ``fault_plan``, which names no option, is refused like any unknown
-    field."""
+    the deleted fields ``fault_plan``, ``machine``, ``partition`` and
+    ``max_events`` are refused like any unknown field."""
 
     @pytest.mark.parametrize(
-        "keyword", ["bsp", "ranks", "queue", "backend", "fault_plan"]
+        "keyword",
+        ["bsp", "ranks", "queue", "backend", "fault_plan", "machine",
+         "partition", "max_events"],
     )
     def test_old_config_keyword_is_type_error(self, random_graph, keyword):
         session = Session(random_graph)

@@ -38,14 +38,14 @@ from repro.graph.generators import rmat_graph
 from repro.graph.weights import assign_uniform_weights
 from repro.mst.prim import prim_mst
 from repro.runtime.cost_model import MachineModel
-from repro.runtime.partition import block_partition, hash_partition
+from repro.runtime.partition import block_partition
 from repro.shortest_paths.voronoi import (
     INF,
     NO_VERTEX,
     canonicalize_predecessors,
     compute_voronoi_cells,
 )
-from tests.conftest import component_seeds
+from tests.conftest import component_seeds, hash_partition
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -363,6 +363,76 @@ class TestEdgeArrayMemo:
         src2, dst2, w2 = h.edge_array()
         assert src2 is not src
         assert np.array_equal(src2, src) and np.array_equal(w2, 2 * w)
+
+
+class TestArcTails:
+    """The arc tails are built once per graph, and the passes that read
+    them keep their outputs: the census counts and canonical
+    predecessors pinned below are the values of the per-call builds."""
+
+    GRAPH = staticmethod(
+        lambda: assign_uniform_weights(rmat_graph(9, 6, seed=1), (1, 9), seed=2)
+    )
+
+    def test_memoised_read_only_and_shared(self):
+        g = self.GRAPH()
+        tails = g.arc_tails()
+        assert tails is g.arc_tails()
+        assert np.array_equal(
+            tails, np.repeat(np.arange(g.n_vertices), np.diff(g.indptr))
+        )
+        with pytest.raises(ValueError):
+            tails[0] = 0
+        assert block_partition(g, 4).arc_arrays()[0] is tails
+
+    @pytest.mark.parametrize(
+        ("partition", "n_ranks", "delegates", "census"),
+        [
+            (block_partition, 4, None, (0.00012416, 818, 19632)),
+            (block_partition, 4, 3, (0.00011862, 884, 21216)),
+            (block_partition, 16, None, (7.394e-05, 2128, 51072)),
+            (block_partition, 16, 3, (7.412e-05, 2930, 70320)),
+            (hash_partition, 4, None, (0.00012085999999999999, 821, 19704)),
+            (hash_partition, 4, 3, (0.00011729999999999999, 874, 20976)),
+            (hash_partition, 16, None, (7.311999999999999e-05, 2059, 49416)),
+            (hash_partition, 16, 3, (7.446e-05, 2935, 70440)),
+        ],
+    )
+    def test_census_counts_pinned(self, partition, n_ranks, delegates, census):
+        part = partition(self.GRAPH(), n_ranks, delegate_threshold=delegates)
+        assert local_min_edge_costs(part, MachineModel()) == census
+
+    def test_off_owner_arcs_are_striped_delegate_arcs(self):
+        g = self.GRAPH()
+        assert block_partition(g, 4).off_owner_arcs().size == 0
+        part = block_partition(g, 4, delegate_threshold=3)
+        off = part.off_owner_arcs()
+        tails = g.arc_tails()
+        assert np.array_equal(off, np.flatnonzero(part.arc_rank != part.owner[tails]))
+        assert off.size and part.delegate_mask(tails[off]).all()
+
+    @pytest.mark.parametrize(
+        ("graph", "k", "digest", "pred_sum", "n_with_pred"),
+        [
+            ("rmat", 3, "3b60edd6ceb84302", 86744, 389),
+            ("rmat", 20, "1d34e56a5afa7730", 87599, 372),
+            ("grid", 3, "f72f66e51cb8eae1", 9852, 141),
+            ("grid", 20, "2cbb36ab2a3b27c1", 8684, 124),
+        ],
+    )
+    def test_canonical_pred_pinned(self, graph, k, digest, pred_sum, n_with_pred):
+        import hashlib
+
+        from repro.graph.generators import grid_graph
+
+        g = self.GRAPH() if graph == "rmat" else assign_uniform_weights(
+            grid_graph(12, 12), (1, 3), seed=4
+        )
+        vd = compute_voronoi_cells(g, component_seeds(g, k, seed=5))
+        pred = canonicalize_predecessors(g, vd.src, vd.dist)
+        assert hashlib.sha256(pred.tobytes()).hexdigest()[:16] == digest
+        assert int(pred.sum()) == pred_sum
+        assert int((pred >= 0).sum()) == n_with_pred
 
 
 class TestConnectedComponents:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import SolverConfig
 from repro.core.sequential import sequential_steiner_tree
-from repro.core.solver import distributed_steiner_tree
+from repro.api import solve
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import grid_graph
 from repro.shortest_paths.backends import BACKENDS, compute_multisource, get_backend
@@ -227,8 +227,8 @@ class TestSolverIntegration:
         self, random_graph, backend
     ):
         seeds = component_seeds(random_graph, 5, seed=8)
-        simulated = distributed_steiner_tree(random_graph, seeds)
-        fast = distributed_steiner_tree(
+        simulated = solve(random_graph, seeds)
+        fast = solve(
             random_graph, seeds, config=SolverConfig(voronoi_backend=backend)
         )
         assert np.array_equal(simulated.edges, fast.edges)

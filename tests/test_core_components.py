@@ -11,13 +11,13 @@ from repro.core.tree_edge import TreeEdgeProgram, walk_tree_edges
 from repro.core.voronoi_visitor import VoronoiProgram
 from repro.runtime.cost_model import MachineModel
 from repro.runtime.engine import AsyncEngine
-from repro.runtime.partition import block_partition, hash_partition
+from repro.runtime.partition import block_partition
 from repro.shortest_paths.voronoi import (
     NO_VERTEX,
     canonicalize_predecessors,
     compute_voronoi_cells,
 )
-from tests.conftest import component_seeds, make_connected_graph
+from tests.conftest import component_seeds, hash_partition, make_connected_graph
 
 
 def run_voronoi_program(graph, seeds, *, ranks=4, discipline="priority",

@@ -175,7 +175,10 @@ class TestDerived:
         nxg = g.to_networkx()
         assert nxg.number_of_nodes() == 4
         assert nxg.number_of_edges() == 4
-        back = CSRGraph.from_networkx(nxg)
+        edges = list(nxg.edges(data="weight"))
+        back = CSRGraph.from_edges(
+            nxg.number_of_nodes(), [e[:2] for e in edges], [e[2] for e in edges]
+        )
         assert back == g
 
     def test_equality(self):

@@ -123,6 +123,8 @@ DOCTEST_MODULES = (
     "repro.runtime.engine_batched",
     "repro.arrays",
     "repro.shortest_paths.vectorized",
+    "repro",
+    "repro.api",
 )
 
 
@@ -133,7 +135,8 @@ class TestDoctests:
         ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
         step = ci.split("python -m doctest", 1)[1].split("- name:", 1)[0]
         paths = re.findall(r"src/(\S+)\.py", step)
-        assert tuple(p.replace("/", ".") for p in paths) == DOCTEST_MODULES
+        modules = (p.removesuffix("/__init__").replace("/", ".") for p in paths)
+        assert tuple(modules) == DOCTEST_MODULES
 
     @pytest.mark.parametrize("module_name", DOCTEST_MODULES)
     def test_runtime_module_doctests(self, module_name):

@@ -8,25 +8,29 @@ same superstep semantics (one per-message, one vectorised), so their
 local/remote message counts, visit counts and superstep counts must
 match *exactly*; the order-independent Steiner-tree-edge walk phase must
 match in counts across **all** engines.  Property tests drive the
-engines over random partitioned graphs — block and hash partitions,
-with and without delegates — and pin all of it down.
+engines over random partitioned graphs — block partitions and
+scattered ownership, with and without delegates — and pin all of it
+down.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.core.solver as solver_module
 from repro.core.config import SolverConfig
 from repro.core.voronoi_visitor import VoronoiProgram
 from repro.graph.csr import CSRGraph
 from repro.runtime.engine import AsyncEngine, BSPEngine
 from repro.runtime.engine_batched import BSPBatchedEngine, supports_batch
 from repro.runtime.engines import ENGINES, get_engine, make_engine
-from repro.runtime.partition import block_partition, hash_partition
-from tests.conftest import component_seeds, make_connected_graph
+from repro.runtime.partition import block_partition
+from tests.conftest import component_seeds, hash_partition, make_connected_graph
 from tests.test_engine_conformance import assert_conformance, solve_with
 
 PROPERTY = settings(
@@ -39,7 +43,8 @@ PROPERTY = settings(
 @st.composite
 def partitioned_instance(draw, max_vertices=22, max_weight=8):
     """A random connected weighted graph, a seed set and a partition
-    configuration (rank count, block/hash, optional delegates).
+    configuration (rank count, block or scattered ownership, optional
+    delegates).
 
     A path backbone keeps the graph connected; ``max_weight=1``
     degenerates to unit weights — the tie-heaviest case for the
@@ -89,32 +94,27 @@ def assert_engine_parity(graph, seeds, n_ranks=6, **cfg):
     return assert_conformance(graph, seeds, n_ranks=n_ranks, **cfg)
 
 
+def assert_parity_on(partition_fn, graph, seeds, n_ranks, delegate_threshold):
+    """:func:`assert_engine_parity` with every solver partitioned by
+    ``partition_fn`` (the solver itself always uses block partitions)."""
+    with mock.patch.object(solver_module, "block_partition", partition_fn):
+        assert_engine_parity(
+            graph, seeds, n_ranks=n_ranks, delegate_threshold=delegate_threshold
+        )
+
+
 class TestEngineParity:
     @PROPERTY
     @given(partitioned_instance())
     def test_random_partitioned_graphs(self, case):
         graph, seeds, n_ranks, partition_fn, delegate_threshold = case
-        partition = "hash" if partition_fn is hash_partition else "block"
-        assert_engine_parity(
-            graph,
-            seeds,
-            n_ranks=n_ranks,
-            partition=partition,
-            delegate_threshold=delegate_threshold,
-        )
+        assert_parity_on(partition_fn, graph, seeds, n_ranks, delegate_threshold)
 
     @PROPERTY
     @given(partitioned_instance(max_weight=1))
     def test_unit_weight_tie_heavy_graphs(self, case):
         graph, seeds, n_ranks, partition_fn, delegate_threshold = case
-        partition = "hash" if partition_fn is hash_partition else "block"
-        assert_engine_parity(
-            graph,
-            seeds,
-            n_ranks=n_ranks,
-            partition=partition,
-            delegate_threshold=delegate_threshold,
-        )
+        assert_parity_on(partition_fn, graph, seeds, n_ranks, delegate_threshold)
 
     @pytest.mark.parametrize("trial", range(3))
     def test_generator_graphs(self, trial):
@@ -199,20 +199,14 @@ class TestBatchedEngine:
             stats[BSPEngine].n_messages == stats[BSPBatchedEngine].n_messages
         )
 
-    def test_max_events_guard(self, random_graph):
+    def test_superstep_guard(self, random_graph, monkeypatch):
         from repro.errors import SimulationError
 
         seeds = component_seeds(random_graph, 4, seed=15)
+        monkeypatch.setattr(BSPEngine, "_max_supersteps_guard", 2)
         for engine in ("bsp", "bsp-batched"):
-            with pytest.raises(SimulationError, match="exceeded"):
-                solve_with(random_graph, seeds, engine, max_events=3)
-
-    def test_max_events_zero_means_uncapped(self, random_graph):
-        """Legacy semantics: a falsy cap disables the guard entirely."""
-        seeds = component_seeds(random_graph, 4, seed=15)
-        for engine in ENGINES:
-            res = solve_with(random_graph, seeds, engine, max_events=0)
-            assert res.total_distance > 0
+            with pytest.raises(SimulationError, match="converge"):
+                solve_with(random_graph, seeds, engine)
 
     def test_batched_is_a_bsp_engine(self, random_graph):
         part = block_partition(random_graph, 3)

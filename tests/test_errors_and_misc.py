@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from repro.errors import (
-    ConvergenceError,
     DisconnectedSeedsError,
     GraphError,
     PartitionError,
@@ -26,7 +25,6 @@ class TestErrorHierarchy:
             SeedError,
             PartitionError,
             SimulationError,
-            ConvergenceError,
             ValidationError,
         ],
     )

@@ -334,8 +334,8 @@ class TestBoundedReads:
     def test_oversized_string_line_answered_conversation_stays_up(self, graph):
         svc = make_service(graph)
         out: list[str] = []
-        handler = ProtocolHandler(svc, out.append, max_line_bytes=64)
-        assert handler.handle_line(padded_ping("big", 65))
+        handler = ProtocolHandler(svc, out.append)
+        assert handler.handle_line(padded_ping("big", MAX_LINE_BYTES + 1))
         assert handler.handle_line(json.dumps({"id": "p", "op": "ping"}))
         svc.close()
         oversized, pong = map(json.loads, out)

@@ -27,7 +27,7 @@ CONFIG_MATRIX = [
     SolverConfig(n_ranks=1),
     SolverConfig(n_ranks=6, discipline="fifo"),
     SolverConfig(n_ranks=6, discipline="priority"),
-    SolverConfig(n_ranks=6, partition="hash"),
+    SolverConfig(n_ranks=6, engine="bsp-batched"),
     SolverConfig(n_ranks=6, delegate_threshold=6),
     SolverConfig(n_ranks=6, engine="bsp"),
     SolverConfig(n_ranks=6, aggregate_remote_messages=True),
@@ -36,7 +36,6 @@ CONFIG_MATRIX = [
     SolverConfig(
         n_ranks=11,
         discipline="fifo",
-        partition="hash",
         delegate_threshold=5,
         aggregate_remote_messages=True,
     ),

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.baselines.exact import exact_steiner_tree
 from repro.core.config import SolverConfig
 from repro.core.sequential import sequential_steiner_tree
-from repro.core.solver import distributed_steiner_tree
+from repro.api import solve
 from repro.graph.connectivity import largest_component_vertices
 from repro.graph.csr import CSRGraph
 from repro.mst.boruvka import boruvka_mst
@@ -176,7 +176,7 @@ class TestSteinerTreeProperties:
     def test_distributed_equals_sequential(self, gs):
         g, seeds = gs
         ref = sequential_steiner_tree(g, seeds)
-        res = distributed_steiner_tree(g, seeds, config=SolverConfig(n_ranks=3))
+        res = solve(g, seeds, config=SolverConfig(n_ranks=3))
         assert np.array_equal(ref.edges, res.edges)
 
     @SLOW

@@ -11,15 +11,21 @@ from repro.graph.generators import grid_graph, rmat_graph
 from repro.runtime.collectives import chunked_allreduce_time
 from repro.runtime.cost_model import MachineModel
 from repro.runtime.memory import estimate_memory
-from repro.runtime.partition import block_partition, hash_partition
+from repro.runtime.partition import block_partition
 from repro.runtime.queues import FIFOQueue, PriorityQueue, QueueDiscipline, make_queue
+
+
+def cut_arc_count(part):
+    """Arcs whose endpoint states live on different ranks."""
+    g = part.graph
+    return int((part.owner[g.arc_tails()] != part.owner[g.indices]).sum())
 
 
 class TestPartitioning:
     def test_block_owner_balanced(self):
         g = grid_graph(8, 8)
         part = block_partition(g, 4)
-        counts = part.local_vertex_count()
+        counts = np.bincount(part.owner, minlength=4)
         assert counts.sum() == 64
         assert counts.max() - counts.min() <= 1
 
@@ -28,11 +34,6 @@ class TestPartitioning:
         part = block_partition(g, 4)
         # block ownership is monotone in vertex id
         assert (np.diff(part.owner) >= 0).all()
-
-    def test_hash_covers_all_ranks(self):
-        g = grid_graph(10, 10)
-        part = hash_partition(g, 8)
-        assert set(np.unique(part.owner)) == set(range(8))
 
     def test_arc_rank_follows_owner_without_delegates(self):
         g = grid_graph(6, 6)
@@ -54,7 +55,7 @@ class TestPartitioning:
     def test_single_rank(self):
         g = grid_graph(4, 4)
         part = block_partition(g, 1)
-        assert part.cut_arc_count() == 0
+        assert cut_arc_count(part) == 0
         assert part.load_imbalance() == pytest.approx(1.0)
 
     def test_delegates_selected_by_degree(self):
@@ -84,8 +85,6 @@ class TestPartitioning:
         g = grid_graph(3, 3)
         with pytest.raises(PartitionError):
             block_partition(g, 0)
-        with pytest.raises(PartitionError):
-            hash_partition(g, -1)
 
     def test_invalid_delegate_threshold(self):
         g = grid_graph(3, 3)
@@ -94,7 +93,7 @@ class TestPartitioning:
 
     def test_cut_arcs_grow_with_ranks(self):
         g = grid_graph(10, 10)
-        cuts = [block_partition(g, p).cut_arc_count() for p in (1, 2, 4, 8)]
+        cuts = [cut_arc_count(block_partition(g, p)) for p in (1, 2, 4, 8)]
         assert cuts == sorted(cuts)
 
 
@@ -154,10 +153,6 @@ class TestCostModel:
         m = MachineModel()
         assert m.mst_time(0, 5) == 0.0
         assert m.mst_time(10_000, 100) < m.mst_time(50_000_000, 10_000)
-
-    def test_scan_time_linear(self):
-        m = MachineModel()
-        assert m.scan_time(2_000) == pytest.approx(2 * m.scan_time(1_000))
 
 
 class TestCollectives:

@@ -3,6 +3,7 @@ envelopes."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -40,7 +41,7 @@ class TestParseRequest:
             id="r1", op="solve", graph="LVJ", seeds=(3, 1, 2),
             config={"n_ranks": 8},
         )
-        assert parse_request(req.to_payload()) == req
+        assert parse_request(dataclasses.asdict(req)) == req
 
     def test_defaults(self):
         req = parse_request({"id": "x", "graph": "g", "seeds": [1, 2]})
@@ -138,3 +139,32 @@ class TestEnvelopes:
         line = dumps({"id": "x", "arr": np.asarray([1, 2]), "n": np.int64(3)})
         assert "\n" not in line
         assert json.loads(line) == {"id": "x", "arr": [1, 2], "n": 3}
+
+    def test_dumps_bytes_equal_the_jsonable_encoding(self, random_graph):
+        """``dumps`` encodes each envelope once; the line is the one the
+        earlier encoder, ``json.dumps(jsonable(payload))``, wrote."""
+        from repro.serve import QueueFull, SolverService
+
+        svc = SolverService(batch_window_s=0)
+        svc.add_graph("g", random_graph)
+        try:
+            result = svc.solve("g", component_seeds(random_graph, 6, seed=4))
+            stats = svc.stats()
+        finally:
+            svc.close()
+        envelopes = [
+            response_payload("r1", result=result),
+            response_payload("s1", stats=stats),
+            error_payload("e1", QueueFull("queue full", retry_after_ms=np.int64(40))),
+            {
+                "id": "raw",
+                "arr": np.arange(3),
+                "f": np.float32(0.5),
+                "d": np.float64(0.1),
+                "s": {3, 1, np.int64(2)},
+                "nested": [(np.int64(4), None, True)],
+            },
+        ]
+        for env in envelopes:
+            old = json.dumps(schema.jsonable(dict(env)), separators=(",", ":"))
+            assert dumps(env) == old

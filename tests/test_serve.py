@@ -446,7 +446,9 @@ class TestProtocol:
     @pytest.mark.parametrize(
         "config,error,names",
         [
-            pytest.param({"machine": {}}, "TypeError", None, id="machine"),
+            pytest.param({"machine": {}}, "TypeError", ["machine"], id="machine"),
+            pytest.param({"partition": "block"}, "TypeError", ["partition"], id="partition"),
+            pytest.param({"max_events": 1000}, "TypeError", ["max_events"], id="max_events"),
             pytest.param({"fault_plan": "boom"}, "TypeError", None, id="fault_plan"),
             pytest.param(
                 {"aggregate_remote_messages": "false"}, "TypeError", None,
@@ -462,18 +464,21 @@ class TestProtocol:
     def test_bad_machine_config_answered_worker_survives(
         self, graph, config, error, names
     ):
-        """A config override ``SolverConfig`` rejects — a ``machine``
-        that is not a MachineModel, an unknown field such as
-        ``fault_plan``, a string where a bool belongs, an unknown
-        engine or backend name — is refused in the caller's thread; the
-        batching worker never sees it, so a valid request batched right
-        after it is still answered.  An unknown name is answered with
-        every name the table offers."""
+        """A config override ``SolverConfig`` rejects — an unknown field,
+        such as the deleted ``machine``, ``partition``, ``max_events``
+        and ``fault_plan``, a string where a bool belongs, an unknown
+        engine or backend name — is refused by ``submit`` in the
+        caller's thread, so its answer is written before the handler
+        returns; the batching worker never sees it, and a valid request
+        batched right after it is still answered.  An unknown field is
+        named in the answer, and an unknown engine or backend name is
+        answered with every name the table offers."""
         svc = make_service(graph, batch_window_s=0.05)
         out: list[str] = []
         handler = ProtocolHandler(svc, out.append)
         bad = {"id": "bad", "graph": "g", "seeds": [0, 23], "config": config}
         handler.handle_line(json.dumps(bad))
+        assert [json.loads(line)["id"] for line in out] == ["bad"]
         handler.handle_line(json.dumps({"id": "ok", "graph": "g", "seeds": [0, 23, 77]}))
         handler.drain(timeout=3)
         drained = svc.drain(timeout=2)

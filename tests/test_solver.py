@@ -9,7 +9,8 @@ import pytest
 from repro.core.config import SolverConfig
 from repro.core.result import PHASE_NAMES
 from repro.core.sequential import sequential_steiner_tree
-from repro.core.solver import DistributedSteinerSolver, distributed_steiner_tree
+from repro.api import solve
+from repro.core.solver import DistributedSteinerSolver
 from repro.errors import DisconnectedSeedsError, GraphError
 from repro.graph.csr import CSRGraph
 from repro.runtime.engines import ENGINES
@@ -73,7 +74,7 @@ class TestDistributedMatchesSequential:
         g = make_connected_graph(40, 110, seed=seed + 200)
         seeds = component_seeds(g, 5, seed=seed)
         ref = sequential_steiner_tree(g, seeds)
-        res = distributed_steiner_tree(g, seeds, config=SolverConfig(n_ranks=4))
+        res = solve(g, seeds, config=SolverConfig(n_ranks=4))
         assert np.array_equal(ref.edges, res.edges)
         assert ref.total_distance == res.total_distance
 
@@ -83,7 +84,7 @@ class TestDistributedMatchesSequential:
             {"n_ranks": 1},
             {"n_ranks": 7},
             {"n_ranks": 4, "discipline": "fifo"},
-            {"n_ranks": 4, "partition": "hash"},
+            {"n_ranks": 4, "engine": "bsp-batched"},
             {"n_ranks": 4, "delegate_threshold": 8},
             {"n_ranks": 4, "engine": "bsp"},
         ],
@@ -91,7 +92,7 @@ class TestDistributedMatchesSequential:
     def test_config_invariance(self, random_graph, config_kwargs):
         seeds = component_seeds(random_graph, 5, seed=3)
         ref = sequential_steiner_tree(random_graph, seeds)
-        res = distributed_steiner_tree(
+        res = solve(
             random_graph, seeds, config=SolverConfig(**config_kwargs)
         )
         assert np.array_equal(ref.edges, res.edges)
@@ -116,60 +117,60 @@ class TestDistributedMatchesSequential:
 class TestDistributedResult:
     def test_phase_names_and_order(self, random_graph):
         seeds = component_seeds(random_graph, 4, seed=5)
-        res = distributed_steiner_tree(random_graph, seeds)
+        res = solve(random_graph, seeds)
         assert tuple(p.name for p in res.phases) == PHASE_NAMES
         assert res.sim_time() > 0
 
     def test_phase_time_lookup(self, random_graph):
         seeds = component_seeds(random_graph, 4, seed=5)
-        res = distributed_steiner_tree(random_graph, seeds)
+        res = solve(random_graph, seeds)
         assert res.phase_time("Voronoi Cell") > 0
         with pytest.raises(KeyError):
             res.phase_time("nonsense")
 
     def test_memory_report_attached(self, random_graph):
         seeds = component_seeds(random_graph, 4, seed=6)
-        res = distributed_steiner_tree(random_graph, seeds)
+        res = solve(random_graph, seeds)
         assert res.memory is not None
         assert res.memory.total_bytes > 0
 
     def test_diagram_on_request(self, random_graph):
         seeds = component_seeds(random_graph, 4, seed=6)
-        without = distributed_steiner_tree(random_graph, seeds)
+        without = solve(random_graph, seeds)
         assert without.diagram is None
-        with_d = distributed_steiner_tree(
+        with_d = solve(
             random_graph, seeds, config=SolverConfig(collect_diagram=True)
         )
         assert with_d.diagram is not None
 
     def test_steiner_vertices_disjoint_from_seeds(self, random_graph):
         seeds = component_seeds(random_graph, 5, seed=7)
-        res = distributed_steiner_tree(random_graph, seeds)
+        res = solve(random_graph, seeds)
         assert not set(res.steiner_vertices().tolist()) & set(seeds.tolist())
 
     def test_to_networkx(self, random_graph):
         import networkx as nx
 
         seeds = component_seeds(random_graph, 4, seed=8)
-        res = distributed_steiner_tree(random_graph, seeds)
+        res = solve(random_graph, seeds)
         t = res.to_networkx()
         assert nx.is_tree(t)
         assert all(int(s) in t for s in seeds)
 
     def test_summary_string(self, random_graph):
         seeds = component_seeds(random_graph, 3, seed=9)
-        res = distributed_steiner_tree(random_graph, seeds)
+        res = solve(random_graph, seeds)
         assert "SteinerTree" in res.summary()
 
     def test_disconnected_seeds_raise(self):
         g = CSRGraph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)], [1, 1, 1, 1])
         with pytest.raises(DisconnectedSeedsError) as exc:
-            distributed_steiner_tree(g, [0, 5], config=SolverConfig(n_ranks=2))
+            solve(g, [0, 5], config=SolverConfig(n_ranks=2))
         assert exc.value.unreached  # names the unreachable seeds
 
     def test_wall_time_recorded(self, random_graph):
         seeds = component_seeds(random_graph, 3, seed=10)
-        res = distributed_steiner_tree(random_graph, seeds)
+        res = solve(random_graph, seeds)
         assert res.wall_time_s > 0
 
 
@@ -177,10 +178,6 @@ class TestSolverConfig:
     def test_invalid_ranks(self):
         with pytest.raises(ValueError):
             SolverConfig(n_ranks=0)
-
-    def test_invalid_partition(self):
-        with pytest.raises(ValueError):
-            SolverConfig(partition="triangular")
 
     def test_discipline_coercion(self):
         from repro.runtime.queues import QueueDiscipline

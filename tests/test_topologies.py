@@ -9,7 +9,7 @@ import pytest
 from repro.baselines.exact import exact_steiner_tree
 from repro.core.config import SolverConfig
 from repro.core.sequential import sequential_steiner_tree
-from repro.core.solver import distributed_steiner_tree
+from repro.api import solve
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import grid_graph
 from repro.validation import validate_steiner_tree
@@ -17,7 +17,7 @@ from repro.validation import validate_steiner_tree
 
 def solve_both(graph, seeds):
     ref = sequential_steiner_tree(graph, seeds)
-    res = distributed_steiner_tree(graph, seeds, config=SolverConfig(n_ranks=3))
+    res = solve(graph, seeds, config=SolverConfig(n_ranks=3))
     assert np.array_equal(ref.edges, res.edges)
     validate_steiner_tree(graph, seeds, ref.edges)
     return ref
@@ -136,7 +136,7 @@ class TestSelfConsistency:
     @pytest.mark.parametrize("n_ranks", [1, 2, 5, 16, 33])
     def test_rank_counts_beyond_vertices(self, n_ranks):
         g = grid_graph(4, 4)
-        res = distributed_steiner_tree(
+        res = solve(
             g, [0, 15], config=SolverConfig(n_ranks=n_ranks)
         )
         ref = sequential_steiner_tree(g, [0, 15])

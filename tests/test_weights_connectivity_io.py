@@ -16,13 +16,7 @@ from repro.graph.connectivity import (
 )
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import erdos_renyi_graph, grid_graph
-from repro.graph.io import (
-    load_edge_list,
-    load_npz,
-    npz_nbytes,
-    save_edge_list,
-    save_npz,
-)
+from repro.graph.io import npz_nbytes
 from repro.graph.stats import graph_stats
 from repro.graph.weights import WeightSpec, assign_uniform_weights
 
@@ -111,37 +105,6 @@ class TestConnectivity:
 
 
 class TestIO:
-    def test_edge_list_round_trip(self, tmp_path, weighted_grid):
-        path = tmp_path / "g.txt"
-        save_edge_list(weighted_grid, path)
-        back = load_edge_list(path)
-        assert back == weighted_grid
-
-    def test_edge_list_without_weights(self, tmp_path):
-        path = tmp_path / "g.txt"
-        path.write_text("0 1\n1 2\n")
-        g = load_edge_list(path)
-        assert g.n_edges == 2
-        assert g.edge_weight(0, 1) == 1
-
-    def test_edge_list_malformed(self, tmp_path):
-        path = tmp_path / "g.txt"
-        path.write_text("0 1 2 3 4\n")
-        with pytest.raises(GraphError, match="malformed"):
-            load_edge_list(path)
-
-    def test_edge_list_empty(self, tmp_path):
-        path = tmp_path / "g.txt"
-        path.write_text("# n_vertices=5\n")
-        g = load_edge_list(path)
-        assert g.n_vertices == 5
-        assert g.n_edges == 0
-
-    def test_npz_round_trip(self, tmp_path, weighted_grid):
-        path = tmp_path / "g.npz"
-        save_npz(weighted_grid, path)
-        assert load_npz(path) == weighted_grid
-
     def test_npz_nbytes(self, weighted_grid):
         n = npz_nbytes(weighted_grid)
         assert n >= weighted_grid.nbytes()  # container overhead included
@@ -154,8 +117,6 @@ class TestStats:
         assert st.n_arcs == weighted_grid.n_arcs
         assert st.weight_min >= 1
         assert st.weight_max <= 9
-        row = st.as_row()
-        assert row["|V|"] == 64
 
     def test_stats_empty(self):
         g = CSRGraph.from_edges(2, np.zeros((0, 2), np.int64), [])
