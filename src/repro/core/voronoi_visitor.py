@@ -33,7 +33,7 @@ from typing import Any, Callable, Iterator, Tuple
 import numpy as np
 
 from repro.runtime.partition import PartitionedGraph
-from repro.shortest_paths.vectorized import adopt_lexmin, out_arcs
+from repro.shortest_paths.vectorized import adopt_lexmin, key_table, out_arcs
 from repro.shortest_paths.voronoi import INF, NO_VERTEX
 
 __all__ = ["VoronoiProgram"]
@@ -55,13 +55,16 @@ class VoronoiProgram:
         ``(t, r)``) and emit relax messages to its neighbours.
     """
 
-    __slots__ = ("part", "src", "dist", "_indptr", "_indices", "_weights", "_degrees")
+    __slots__ = (
+        "part", "src", "dist", "_best", "_indptr", "_indices", "_weights", "_degrees"
+    )
 
     def __init__(self, partition: PartitionedGraph) -> None:
         self.part = partition
         n = partition.graph.n_vertices
         self.src = np.full(n, NO_VERTEX, dtype=np.int64)
         self.dist = np.full(n, INF, dtype=np.int64)
+        self._best = key_table(n)  # adopt_lexmin's table, shared by every superstep
         g = partition.graph
         self._indptr = g.indptr
         self._indices = g.indices
@@ -175,7 +178,7 @@ class VoronoiProgram:
         one Python callback per message.
         """
         vp, t, r = payload[:, 0], payload[:, 1], payload[:, 2]
-        adopted = adopt_lexmin(targets, r, t, self.dist, self.src)
+        adopted = adopt_lexmin(targets, r, t, self.dist, self.src, self._best)
         # a seed's bootstrap message offers the state the seed already
         # holds, so it adopts nothing; it expands unconditionally
         boot = (vp == targets) & (t == targets) & (r == 0)

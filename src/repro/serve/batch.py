@@ -12,11 +12,15 @@ never interact, and the fixpoint is unique — so batched results are
 **bit-identical** to sequential ones (property-tested in
 ``tests/test_serve.py``).
 
-Why fuse at all?  The vectorised ``delta-numpy`` kernel pays a fixed
-NumPy dispatch overhead per relaxation wave; stacking R requests
-amortises that overhead over R components that settle in the same
-waves.  The stacked graph costs R× the CSR memory for the duration
-of the sweep — the service bounds R with its ``max_batch`` knob.
+Fusing was meant to amortise the per-wave NumPy dispatch of the
+``delta-numpy`` kernel over R components that settle in the same
+waves.  Measured, it does not: on the 50,000-vertex e2e grid one fused
+sweep of three 30-seed requests takes 1.31x as long as three solo
+sweeps (52.4 against 40.0 ms, medians of 9 on a 2-CPU shared VM), and
+every request in the batch waits for the whole fused sweep.  Open
+item 2 of ROADMAP.md proposes deleting the fused sweep.  The stacked
+graph costs R× the CSR memory for the duration of the sweep — the
+service bounds R with its ``max_batch`` knob.
 
 This is the ROADMAP's "multi-tenant" shape: the fused instance is a
 Steiner *Forest*-like problem (independent terminal groups in disjoint

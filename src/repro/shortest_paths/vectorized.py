@@ -6,15 +6,23 @@ bytecode loop iteration, even though :class:`~repro.graph.csr.CSRGraph`
 already stores the adjacency as flat NumPy arrays.  This module runs the
 Meyer–Sanders Δ-stepping schedule with *bucket-wide* NumPy relaxations:
 
-* the frontier of the current bucket is a vertex array, not a Python
-  set;
+* the pending vertices are an id array beside a boolean mask, so
+  finding the current bucket scans the pending vertices, not all ``n``;
 * all out-arcs of the frontier are gathered in one shot (``np.repeat``
   over the CSR offsets — no per-vertex slicing);
 * the lexicographic ``(dist, owner)`` winner per target vertex is
   selected by packing the pair into one int64 key and reducing with
-  ``np.minimum.at``, replacing the per-edge compare-and-swap;
+  ``np.minimum.at`` (:func:`adopt_lexmin`), replacing the per-edge
+  compare-and-swap.  The reduction table is the caller's: one
+  :func:`key_table` per sweep, which each wave reads and resets at the
+  heads it touched only, so it stays all sentinel between waves;
 * the vertices settled in a bucket are deduplicated with one sort
-  (:func:`repro.arrays.sorted_unique`).
+  (:func:`repro.arrays.sorted_unique`), and when no arc is heavier than
+  Δ (every unit-weight graph) the light-arc filter and the heavy phase
+  are skipped.
+
+A wave's work is therefore proportional to its candidates and the
+pending set, not to ``n``.
 
 Per bucket phase the Python interpreter executes O(1) statements; all
 per-edge work happens inside compiled NumPy kernels.  On the ~100K-arc
@@ -46,7 +54,13 @@ from repro.shortest_paths.voronoi import (
     canonicalize_predecessors,
 )
 
-__all__ = ["adopt_lexmin", "compute_voronoi_cells_delta_numpy", "default_delta", "out_arcs"]
+__all__ = [
+    "adopt_lexmin",
+    "compute_voronoi_cells_delta_numpy",
+    "default_delta",
+    "key_table",
+    "out_arcs",
+]
 
 
 def default_delta(graph: CSRGraph) -> int:
@@ -54,12 +68,17 @@ def default_delta(graph: CSRGraph) -> int:
 
     The kernel batches a whole bucket per NumPy call, so its cost is
     ``(number of relaxation waves) x (cost per wave)``.  Narrow buckets
-    mean more buckets but much shorter light-edge fixpoint iterations
-    inside each (fewer duplicated relaxations reach the packed-key
-    reduction), which measures fastest across the generator families:
-    Δ = mean/4 beats both the textbook Δ ≈ mean and a single giant
-    bucket (chaotic Bellman–Ford) by 10-40% on the 100K-edge graphs
-    (see ``benchmarks/bench_backends.py``).
+    mean more buckets but shorter light-edge fixpoint iterations inside
+    each (fewer duplicated relaxations reach the packed-key reduction).
+    Neither side wins on every graph.  Best of 5 sweeps, in ms, on the
+    full suite of ``benchmarks/bench_common.SUITES`` (2-CPU shared VM):
+
+    * ``rmat-100k-w100``: mean 14.6, mean/2 17.0, mean/4 10.2, mean/8 11.7;
+    * ``er-100k-w100``: mean 15.5, mean/2 15.3, mean/4 17.2, mean/8 21.3;
+    * ``grid-100k-unit``: unit weights, so Δ = 1 at every choice.
+
+    mean/4 is kept: it is the fastest on rmat, and 12% slower than the
+    best (mean/2) on er.
     """
     if graph.n_arcs == 0:
         return 1
@@ -95,12 +114,20 @@ def out_arcs(
 _KEY_SENTINEL = np.iinfo(np.int64).max
 
 
+def key_table(n: int) -> np.ndarray:
+    """An ``n``-entry reduction table for :func:`adopt_lexmin`, all
+    sentinel.  A caller allocates one per sweep and passes it to every
+    call; each call leaves it all sentinel again."""
+    return np.full(n, _KEY_SENTINEL, dtype=np.int64)
+
+
 def adopt_lexmin(
     heads: np.ndarray,
     nd: np.ndarray,
     owner: np.ndarray,
     dist: np.ndarray,
     src: np.ndarray,
+    best: np.ndarray,
 ) -> np.ndarray:
     """Adopt each head's lexicographic-minimum improving candidate.
 
@@ -113,17 +140,23 @@ def adopt_lexmin(
 
     The reduction packs each pair into one int64 key ``nd * n + owner``
     (``0 <= owner < n`` keeps the packing order-preserving) and reduces
-    with ``np.minimum.at``, numpy's indexed-loop fast path; when the
-    packed key could overflow it sorts the candidates instead.
+    with ``np.minimum.at`` into ``best``, the caller's :func:`key_table`:
+    all sentinel on entry, and again on return, because only the
+    entries of the heads just reduced are read and reset.  The winners
+    are those heads, found by one sort of them, so a call costs time in
+    its candidates, not in ``n``.  When the packed key could overflow it
+    sorts the candidates instead and leaves ``best`` untouched.
 
-    >>> dist, src = np.array([0, 9, INF]), np.array([0, 0, -1])
+    >>> dist, src, best = np.array([0, 9, INF]), np.array([0, 0, -1]), key_table(3)
     >>> adopt_lexmin(
     ...     np.array([1, 1, 2, 2, 1]), np.array([5, 5, 7, 3, 9]),
-    ...     np.array([2, 1, 0, 2, 0]), dist, src,
+    ...     np.array([2, 1, 0, 2, 0]), dist, src, best,
     ... )
     array([1, 2])
     >>> dist.tolist(), src.tolist()
     ([0, 5, 3], [0, 1, 2])
+    >>> bool((best == key_table(3)).all())
+    True
     """
     better = np.flatnonzero(
         (nd < dist[heads]) | ((nd == dist[heads]) & (owner < src[heads]))
@@ -134,10 +167,10 @@ def adopt_lexmin(
         return heads
     n = dist.size
     if int(nd.max()) <= (_KEY_SENTINEL - n) // n:
-        best = np.full(n, _KEY_SENTINEL, dtype=np.int64)
         np.minimum.at(best, heads, nd * n + owner)
-        winners = np.nonzero(best != _KEY_SENTINEL)[0]
+        winners = sorted_unique(heads)
         dist[winners], src[winners] = np.divmod(best[winners], n)
+        best[winners] = _KEY_SENTINEL
         return winners
     order = np.lexsort((owner, nd, heads))
     first = order[run_starts(heads[order])]
@@ -153,14 +186,19 @@ def _relax(
     dist: np.ndarray,
     src: np.ndarray,
     pending: np.ndarray,
-) -> None:
+    best: np.ndarray,
+) -> np.ndarray:
     """One vectorised relaxation wave over ``arc_ids``: each head adopts
-    its best ``(dist[tail] + w, src[tail])`` candidate and turns pending."""
-    if arc_ids.size:
-        winners = adopt_lexmin(
-            indices[arc_ids], dist[tails] + weights[arc_ids], src[tails], dist, src
-        )
-        pending[winners] = True
+    its best ``(dist[tail] + w, src[tail])`` candidate and turns pending.
+    Returns the adopters that were not pending yet."""
+    if arc_ids.size == 0:
+        return arc_ids
+    winners = adopt_lexmin(
+        indices[arc_ids], dist[tails] + weights[arc_ids], src[tails], dist, src, best
+    )
+    fresh = winners[~pending[winners]]
+    pending[fresh] = True
+    return fresh
 
 
 def compute_voronoi_cells_delta_numpy(
@@ -182,27 +220,40 @@ def compute_voronoi_cells_delta_numpy(
         Bucket width; defaults to :func:`default_delta`.
     """
     seeds_arr = validate_seed_set(graph, seeds)
-    n = graph.n_vertices
     if delta is None:
         delta = default_delta(graph)
     if delta < 1:
         raise GraphError("delta must be >= 1")
+    dist, src = _delta_stepping(graph, seeds_arr, delta)
+    pred = canonicalize_predecessors(graph, src, dist)
+    return VoronoiDiagram(seeds=seeds_arr, src=src, pred=pred, dist=dist)
 
+
+def _delta_stepping(
+    graph: CSRGraph, seeds_arr: np.ndarray, delta: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(dist, src)`` fixpoint of the sweep.  Its working arrays
+    (the key table, the pending set, the light-arc mask) are freed on
+    return, before the caller canonicalises the predecessors."""
+    n = graph.n_vertices
     indptr, indices, weights = graph.indptr, graph.indices, graph.weights
     degrees = np.diff(indptr)
-    light = weights <= delta
+    # with no arc heavier than delta (every unit-weight graph) each light
+    # phase relaxes all arcs and no heavy phase is needed
+    light = weights <= delta if int(weights.max(initial=0)) > delta else None
 
     dist = np.full(n, INF, dtype=np.int64)
     src = np.full(n, NO_VERTEX, dtype=np.int64)
     dist[seeds_arr] = 0
     src[seeds_arr] = seeds_arr
+    # the pending set as a mask and as an id list, so a wave scans the
+    # pending vertices only, not all n
     pending = np.zeros(n, dtype=bool)
     pending[seeds_arr] = True
+    pending_ids = seeds_arr
+    best = key_table(n)
 
-    while True:
-        pending_ids = np.nonzero(pending)[0]
-        if pending_ids.size == 0:
-            break
+    while pending_ids.size:
         b = int(dist[pending_ids].min()) // delta
         lo = b * delta
         hi = lo + delta
@@ -211,28 +262,30 @@ def compute_voronoi_cells_delta_numpy(
         # (owner-only improvements re-enter the same bucket)
         settled: list[np.ndarray] = []
         while True:
-            in_bucket = pending_ids[
-                (dist[pending_ids] >= lo) & (dist[pending_ids] < hi)
-            ]
-            if in_bucket.size == 0:
+            d = dist[pending_ids]
+            in_b = (d >= lo) & (d < hi)
+            take = np.flatnonzero(in_b)
+            if take.size == 0:
                 break
+            in_bucket = pending_ids[take]
+            pending_ids = pending_ids[np.flatnonzero(~in_b)]
             pending[in_bucket] = False
-            settled.append(in_bucket)
             arc_ids, tails = out_arcs(in_bucket, indptr, degrees)
-            keep = np.flatnonzero(light[arc_ids])
-            # rebinding frees the whole out-arc lists before the relaxation
-            arc_ids, tails = arc_ids[keep], tails[keep]
-            _relax(arc_ids, tails, indices, weights, dist, src, pending)
-            pending_ids = np.nonzero(pending)[0]
+            if light is not None:
+                settled.append(in_bucket)
+                keep = np.flatnonzero(light[arc_ids])
+                # rebinding frees the whole out-arc lists before the relaxation
+                arc_ids, tails = arc_ids[keep], tails[keep]
+            fresh = _relax(arc_ids, tails, indices, weights, dist, src, pending, best)
+            pending_ids = np.concatenate([pending_ids, fresh])
 
         # heavy-edge phase: once, from the vertices that settled in b
-        settled_arr = sorted_unique(np.concatenate(settled)) if settled else None
-        if settled_arr is not None:
+        if light is not None and settled:
+            settled_arr = sorted_unique(np.concatenate(settled))
             settled_arr = settled_arr[dist[settled_arr] // delta == b]
             arc_ids, tails = out_arcs(settled_arr, indptr, degrees)
             keep = np.flatnonzero(~light[arc_ids])
             arc_ids, tails = arc_ids[keep], tails[keep]
-            _relax(arc_ids, tails, indices, weights, dist, src, pending)
-
-    pred = canonicalize_predecessors(graph, src, dist)
-    return VoronoiDiagram(seeds=seeds_arr, src=src, pred=pred, dist=dist)
+            fresh = _relax(arc_ids, tails, indices, weights, dist, src, pending, best)
+            pending_ids = np.concatenate([pending_ids, fresh])
+    return dist, src

@@ -24,6 +24,12 @@ __all__ = [
 ]
 
 
+def _arc_weights(graph: CSRGraph, u: int, v: int) -> np.ndarray:
+    """Weights of every stored ``u -> v`` arc: none when the edge is
+    absent, several on a multigraph that keeps parallel edges."""
+    return graph.neighbor_weights(u)[graph.neighbors(u) == v]
+
+
 def validate_steiner_tree(
     graph: CSRGraph,
     seeds: Sequence[int],
@@ -35,7 +41,9 @@ def validate_steiner_tree(
 
     Checks (paper §II definitions):
 
-    1. every row ``(u, v, w)`` is a real graph edge with its true weight;
+    1. every row ``(u, v, w)`` is a real graph edge with its true weight
+       (on a multigraph, the weight of one of the parallel ``(u, v)``
+       edges);
     2. the edge set is acyclic (union-find);
     3. all seeds lie in one connected tree component;
     4. the tree is *spanning-minimal*: every tree vertex connects to the
@@ -59,10 +67,12 @@ def validate_steiner_tree(
     for u, v, w in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ValidationError(f"edge ({u},{v}) endpoint out of range")
-        true_w = graph.edge_weight(int(u), int(v))  # raises if absent
-        if true_w != w:
+        weights = _arc_weights(graph, int(u), int(v))
+        if weights.size == 0:
+            raise ValidationError(f"edge ({u},{v}) is not in the graph")
+        if not (weights == w).any():
             raise ValidationError(
-                f"edge ({u},{v}) carries weight {w}, graph says {true_w}"
+                f"edge ({u},{v}) carries weight {w}, graph says {weights.tolist()}"
             )
 
     # 2. acyclicity
@@ -110,7 +120,8 @@ def validate_voronoi_diagram(graph: CSRGraph, vd: VoronoiDiagram) -> None:
     1. cells partition the reached vertex set and every seed owns itself;
     2. ``dist[v]`` equals the true multi-source shortest distance
        (checked by local optimality: no edge can improve any vertex, and
-       every non-seed reached vertex has a tight predecessor edge);
+       every non-seed reached vertex has a tight predecessor edge, one
+       of its parallel edges on a multigraph);
     3. predecessor chains stay within the cell and strictly decrease in
        distance (hence acyclic, ending at the seed).
     """
@@ -149,7 +160,10 @@ def validate_voronoi_diagram(graph: CSRGraph, vd: VoronoiDiagram) -> None:
             raise ValidationError(f"reached non-seed {v} has no predecessor")
         if src[p] != src[v]:
             raise ValidationError(f"predecessor of {v} lies in another cell")
-        if dist[p] + graph.edge_weight(p, v) != dist[v]:
+        weights = _arc_weights(graph, p, v)
+        if weights.size == 0:
+            raise ValidationError(f"predecessor {p} of {v} is not a neighbour")
+        if not (dist[p] + weights == dist[v]).any():
             raise ValidationError(f"predecessor edge of {v} is not tight")
     # unreached vertices carry clean sentinel state
     unreached = np.nonzero(src == NO_VERTEX)[0]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from repro.graph.connectivity import largest_component_vertices
 from repro.graph.csr import CSRGraph
@@ -86,6 +87,42 @@ def hash_partition(
     tails = graph.arc_tails()
     arc_rank = np.where(block.delegate_mask(tails), block.arc_rank, owner[tails])
     return PartitionedGraph(graph, n_ranks, owner, arc_rank, block.delegates)
+
+
+@st.composite
+def multigraph_edges(draw, max_vertices=16, max_edges=48):
+    """``(n, src, dst, w)``: weights in {1, 2, 3}, parallel edges,
+    self-loops and isolated vertices all allowed, so forests are common."""
+    n = draw(st.integers(min_value=0, max_value=max_vertices))
+    m = draw(st.integers(min_value=0, max_value=max_edges)) if n else 0
+    ends = st.lists(st.integers(0, max(n - 1, 0)), min_size=m, max_size=m)
+    src = np.asarray(draw(ends), dtype=np.int64)
+    dst = np.asarray(draw(ends), dtype=np.int64)
+    w = np.asarray(
+        draw(st.lists(st.integers(1, 3), min_size=m, max_size=m)), dtype=np.int64
+    )
+    return n, src, dst, w
+
+
+@st.composite
+def tie_heavy_graph_and_seeds(draw, keep_parallel=None):
+    """A graph with weights in {1, 2, 3} (possibly disconnected, and
+    possibly keeping its parallel edges and self-loops) and a seed set,
+    so cells tie often and some stay unreached.  ``keep_parallel`` fixes
+    whether the graph keeps them; by default it is drawn."""
+    n, src, dst, w = draw(multigraph_edges(max_vertices=20, max_edges=60))
+    n = max(n, 1)
+    edges = np.stack([src, dst], axis=1) if src.size else np.zeros((0, 2), np.int64)
+    if keep_parallel is None:
+        keep_parallel = draw(st.booleans())
+    if keep_parallel:
+        g = CSRGraph.from_edges(n, edges, w, drop_self_loops=False, dedupe="keep")
+    else:
+        g = CSRGraph.from_edges(n, edges, w)
+    seeds = draw(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 6), unique=True)
+    )
+    return g, sorted(seeds)
 
 
 @pytest.fixture

@@ -3,12 +3,14 @@
 Each kernel is checked against the plain formulation it replaced, kept
 here as the reference: the binary-heap Prim, the four-key ``lexsort``
 distance-graph build, the per-row ``dict`` seed lookup, the
-``np.unique`` halo census and a Python loop over the arcs for the
-canonical predecessors.  Inputs are tie-heavy on purpose (weights in
-{1, 2, 3}, parallel edges, self-loops, isolated vertices, forests):
-ties are where an array rewrite drifts from the reference.  Where a
-kernel picks between a dense table and a sort by input size, fixed
-cases pin each side, and each asserts the side it takes.
+``np.unique`` halo census, a Python loop over the arcs for the
+canonical predecessors and the per-call ``np.full``/``np.nonzero``
+table of the ``adopt_lexmin`` reduction.  Inputs are tie-heavy on
+purpose (weights in {1, 2, 3}, parallel edges, self-loops, isolated
+vertices, forests): ties are where an array rewrite drifts from the
+reference.  Where a kernel picks between a dense table and a sort by
+input size, fixed cases pin each side, and each asserts the side it
+takes.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.arrays import sorted_unique
+from repro.arrays import run_starts, sorted_unique
 from repro.core.distance_graph import (
     HALO_MARK_RATIO,
     PAIR_TABLE_RATIO,
@@ -39,13 +41,20 @@ from repro.graph.weights import assign_uniform_weights
 from repro.mst.prim import prim_mst
 from repro.runtime.cost_model import MachineModel
 from repro.runtime.partition import block_partition
+from repro.shortest_paths.vectorized import adopt_lexmin, key_table
 from repro.shortest_paths.voronoi import (
     INF,
     NO_VERTEX,
     canonicalize_predecessors,
     compute_voronoi_cells,
 )
-from tests.conftest import component_seeds, hash_partition
+from tests.conftest import (
+    component_seeds,
+    hash_partition,
+    multigraph_edges,
+    packed_key_guard,
+    tie_heavy_graph_and_seeds,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -105,6 +114,29 @@ def lexsort_distance_graph(graph, src, dist):
     first[1:] = key[1:] != key[:-1]
     pick = order[first]
     return s_arr[pick], t_arr[pick], bu[pick], bv[pick], d_arr[pick]
+
+
+def per_call_adopt_lexmin(heads, nd, owner, dist, src):
+    """``adopt_lexmin`` on a fresh n-entry table: ``np.full`` and
+    ``np.nonzero`` over all ``n`` entries on every call, sorting past the
+    packed-key guard.  Returns the winners and the path ``adopt_lexmin``
+    takes on this input: ``"packed"`` through the table, ``"lexsort"``
+    past the guard, or ``None`` when no candidate improves."""
+    better = (nd < dist[heads]) | ((nd == dist[heads]) & (owner < src[heads]))
+    heads, nd, owner = heads[better], nd[better], owner[better]
+    if heads.size == 0:
+        return heads, None
+    n = dist.size
+    if int(nd.max()) <= packed_key_guard(n):
+        best = np.full(n, INF, dtype=np.int64)
+        np.minimum.at(best, heads, nd * n + owner)
+        winners = np.nonzero(best != INF)[0]
+        dist[winners], src[winners] = np.divmod(best[winners], n)
+        return winners, "packed"
+    order = np.lexsort((owner, nd, heads))
+    first = order[run_starts(heads[order])]
+    dist[heads[first]], src[heads[first]] = nd[first], owner[first]
+    return heads[first], "lexsort"
 
 
 def cross_edge_count(graph, src):
@@ -167,36 +199,29 @@ def unique_halo_census(partition, machine):
 # strategies
 # --------------------------------------------------------------------- #
 @st.composite
-def multigraph_edges(draw, max_vertices=16, max_edges=48):
-    """``(n, src, dst, w)``: weights in {1, 2, 3}, parallel edges,
-    self-loops and isolated vertices all allowed, so forests are common."""
-    n = draw(st.integers(min_value=0, max_value=max_vertices))
-    m = draw(st.integers(min_value=0, max_value=max_edges)) if n else 0
-    ends = st.lists(st.integers(0, max(n - 1, 0)), min_size=m, max_size=m)
-    src = np.asarray(draw(ends), dtype=np.int64)
-    dst = np.asarray(draw(ends), dtype=np.int64)
-    w = np.asarray(
-        draw(st.lists(st.integers(1, 3), min_size=m, max_size=m)), dtype=np.int64
+def lexmin_call_sequences(draw):
+    """``(dist, src, calls)``: a state on ``n <= 24`` vertices, some
+    unreached, and up to six candidate batches ``(heads, nd, owner)``
+    with tie-heavy small distances.  A batch drawn near the packed-key
+    guard mostly passes it, so its call takes the ``lexsort`` path and
+    must leave the table untouched."""
+    n = draw(st.integers(1, 24))
+    reached = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    dist = np.asarray([draw(st.integers(0, 12)) if r else INF for r in reached])
+    src = np.asarray(
+        [draw(st.integers(0, n - 1)) if r else NO_VERTEX for r in reached]
     )
-    return n, src, dst, w
 
+    def ints(m, hi):
+        values = draw(st.lists(st.integers(0, hi), min_size=m, max_size=m))
+        return np.asarray(values, dtype=np.int64)
 
-@st.composite
-def tie_heavy_graph_and_seeds(draw):
-    """A graph with weights in {1, 2, 3} (possibly disconnected, and
-    possibly keeping its parallel edges and self-loops) and a seed set,
-    so cells tie often and some stay unreached."""
-    n, src, dst, w = draw(multigraph_edges(max_vertices=20, max_edges=60))
-    n = max(n, 1)
-    edges = np.stack([src, dst], axis=1) if src.size else np.zeros((0, 2), np.int64)
-    if draw(st.booleans()):
-        g = CSRGraph.from_edges(n, edges, w, drop_self_loops=False, dedupe="keep")
-    else:
-        g = CSRGraph.from_edges(n, edges, w)
-    seeds = draw(
-        st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 6), unique=True)
-    )
-    return g, sorted(seeds)
+    calls = []
+    for _ in range(draw(st.integers(1, 6))):
+        m = draw(st.integers(0, 3 * n))
+        base = packed_key_guard(n) - 2 if draw(st.booleans()) else 0
+        calls.append((ints(m, n - 1), base + ints(m, 12), ints(m, n - 1)))
+    return dist.astype(np.int64), src.astype(np.int64), calls
 
 
 # --------------------------------------------------------------------- #
@@ -208,6 +233,59 @@ class TestSortedUnique:
     def test_equals_np_unique(self, values):
         arr = np.asarray(values, dtype=np.int64)
         assert np.array_equal(sorted_unique(arr), np.unique(arr))
+
+
+class TestAdoptLexminOracle:
+    @staticmethod
+    def adopt_like_per_call(heads, nd, owner, dist, src, best, ref_dist, ref_src):
+        """One call on the shared table, checked against the per-call
+        oracle; returns the path it took."""
+        want, path = per_call_adopt_lexmin(heads, nd, owner, ref_dist, ref_src)
+        # the lexsort path must not touch the table: a write would raise
+        best.flags.writeable = path != "lexsort"
+        got = adopt_lexmin(heads, nd, owner, dist, src, best)
+        best.flags.writeable = True
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, np.unique(got))
+        assert np.array_equal(dist, ref_dist)
+        assert np.array_equal(src, ref_src)
+        assert (best == INF).all()
+        return path
+
+    @ORACLE
+    @given(lexmin_call_sequences())
+    def test_one_table_through_a_call_sequence(self, case):
+        dist, src, calls = case
+        ref_dist, ref_src = dist.copy(), src.copy()
+        best = key_table(dist.size)
+        for heads, nd, owner in calls:
+            self.adopt_like_per_call(
+                heads, nd, owner, dist, src, best, ref_dist, ref_src
+            )
+
+    def test_sequence_takes_every_path(self):
+        n = 17
+        guard = packed_key_guard(n)
+        dist = np.full(n, INF, dtype=np.int64)
+        src = np.full(n, NO_VERTEX, dtype=np.int64)
+        dist[[0, 16]], src[[0, 16]] = [0, 7], [0, 16]
+        best = key_table(n)
+        calls = [
+            ([1, 2, 1], [guard + 1, guard + 1, guard + 1], [3, 0, 0]),
+            ([1, 2, 2], [5, guard, guard], [0, 3, 0]),  # packs at the guard
+            ([16, 16], [7, 6], [0, 3]),
+        ]
+        ref_dist, ref_src = dist.copy(), src.copy()
+        paths = [
+            self.adopt_like_per_call(
+                *(np.asarray(a, np.int64) for a in call),
+                dist, src, best, ref_dist, ref_src,
+            )
+            for call in calls
+        ]
+        assert paths == ["lexsort", "packed", "packed"]
+        assert dist[[1, 2, 16]].tolist() == [5, guard, 6]
+        assert src[[1, 2, 16]].tolist() == [0, 0, 3]
 
 
 class TestPrimOracle:

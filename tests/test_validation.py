@@ -5,10 +5,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from repro.core.sequential import sequential_steiner_tree
 from repro.errors import ValidationError
+from repro.graph.connectivity import connected_components
 from repro.graph.csr import CSRGraph
+from repro.shortest_paths.backends import BACKENDS
 from repro.shortest_paths.voronoi import INF, NO_VERTEX, compute_voronoi_cells
 from repro.validation import (
     approximation_error_pct,
@@ -16,7 +19,7 @@ from repro.validation import (
     validate_steiner_tree,
     validate_voronoi_diagram,
 )
-from tests.conftest import component_seeds
+from tests.conftest import component_seeds, tie_heavy_graph_and_seeds
 
 
 def path_graph(n=5, w=2):
@@ -42,7 +45,7 @@ class TestValidateSteinerTree:
     def test_rejects_nonexistent_edge(self):
         g = path_graph()
         edges = np.asarray([[0, 4, 2]], dtype=np.int64)  # not an edge
-        with pytest.raises(Exception):  # GraphError from edge_weight
+        with pytest.raises(ValidationError, match="not in the graph"):
             validate_steiner_tree(g, [0, 4], edges)
 
     def test_rejects_wrong_weight(self):
@@ -123,6 +126,55 @@ class TestValidateVoronoiDiagram:
         vd.src[victim] = other
         with pytest.raises(ValidationError):
             validate_voronoi_diagram(random_graph, vd)
+
+
+def parallel_edge_graph():
+    """Two parallel ``(0, 1)`` edges of weight 5 and 2, then ``(1, 2)``."""
+    return CSRGraph.from_edges(3, [(0, 1), (0, 1), (1, 2)], [5, 2, 1], dedupe="keep")
+
+
+class TestMultigraph:
+    """On a graph that keeps parallel edges a tree row or a predecessor
+    hop may use any of them, not only the first one stored."""
+
+    def test_accepts_the_solver_tree(self):
+        g = parallel_edge_graph()
+        res = sequential_steiner_tree(g, [0, 2])
+        assert res.edges.tolist() == [[0, 1, 2], [1, 2, 1]]
+        validate_steiner_tree(g, [0, 2], res.edges)
+
+    def test_rejects_a_weight_no_parallel_edge_carries(self):
+        edges = np.asarray([[0, 1, 3], [1, 2, 1]], dtype=np.int64)
+        with pytest.raises(ValidationError, match="carries weight 3"):
+            validate_steiner_tree(parallel_edge_graph(), [0, 2], edges)
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_accepts_the_diagram(self, backend):
+        g = parallel_edge_graph()
+        vd = BACKENDS[backend](g, [0])
+        assert vd.dist.tolist() == [0, 2, 3]
+        validate_voronoi_diagram(g, vd)
+
+    def test_rejects_a_predecessor_that_is_not_a_neighbour(self):
+        g = parallel_edge_graph()
+        vd = compute_voronoi_cells(g, [0])
+        vd.pred[2] = 0
+        with pytest.raises(ValidationError, match="not a neighbour"):
+            validate_voronoi_diagram(g, vd)
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(tie_heavy_graph_and_seeds(keep_parallel=True))
+    def test_accepts_solver_output_on_tie_heavy_multigraphs(self, case):
+        g, seeds = case
+        validate_voronoi_diagram(g, BACKENDS["delta-numpy"](g, seeds))
+        label = connected_components(g)
+        seeds = [s for s in seeds if label[s] == label[seeds[0]]]
+        res = sequential_steiner_tree(g, seeds)
+        validate_steiner_tree(g, seeds, res.edges)
 
 
 class TestRatioHelpers:
